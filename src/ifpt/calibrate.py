@@ -135,6 +135,42 @@ def _select_level(alive_positions: np.ndarray, target_count: int) -> tuple[float
     return level, alive_positions >= level
 
 
+@dataclass(eq=False)
+class Ensemble:
+    """The alive particles of a run: ascending ids and their positions.
+
+    Killed particles leave both arrays, so stepping, selection and killing
+    cost O(alive), not O(N).
+    """
+
+    ids: np.ndarray
+    x: np.ndarray
+
+    def kill(self, mask: np.ndarray) -> None:
+        keep = ~mask
+        self.ids, self.x = self.ids[keep], self.x[keep]
+
+
+def evolve(model, initial: InitialDistribution, grid: TimeGrid, n: int, seed: int, diag: Diagnostics | None):
+    """Advance n keyed paths along the grid, one step per grid time.
+
+    Yields ``(k, t, ensemble)`` after step k; the caller kills through
+    ``ensemble.kill`` before the next step is drawn.
+    """
+    lo, hi = model.state_bounds
+    x = np.asarray(initial.sample(n, seed), dtype=float)
+    if np.any(x <= lo) or np.any(x >= hi) or not np.all(np.isfinite(x)):
+        raise StateSpaceError("initial sampler left the model state space")
+    ens = Ensemble(ids=np.arange(n), x=x)
+    prev_t = 0.0
+    for k, t in enumerate(grid.points):
+        if len(ens.ids):
+            keys = StreamKeys(seed=seed, step_index=k, ids=ens.ids, n_total=n)
+            ens.x = step_increments(model, ens.x, float(t - prev_t), keys, diag)
+        yield k, t, ens
+        prev_t = float(t)
+
+
 def calibration_step(ensemble: ParticleEnsemble, target_count: int) -> tuple[float, ParticleEnsemble]:
     """Kill down to target_count survivors; returns (level, new ensemble)."""
     if not 0 <= target_count <= len(ensemble.positions):
@@ -168,38 +204,24 @@ def calibrate(
         raise CalibrationError("target survival increases along the grid")
     m = round_half_up(n * s_target)
 
-    x = np.asarray(initial.sample(n, opts.seed), dtype=float)
-    if np.any(x <= lo) or np.any(x >= hi) or not np.all(np.isfinite(x)):
-        raise StateSpaceError("initial sampler left the model state space")
-
-    alive = np.ones(n, dtype=bool)
-    alive_count = n
     values = np.empty(len(grid))
     achieved = np.empty(len(grid))
     diag = Diagnostics()
-    prev_t = 0.0
-    for k, t in enumerate(grid.points):
-        dt = float(t - prev_t)
-        ids = np.flatnonzero(alive)
-        if len(ids):
-            keys = StreamKeys(seed=opts.seed, step_index=k, ids=ids, n_total=n)
-            x[ids] = step_increments(model, x[ids], dt, keys, diag)
+    for k, _, ens in evolve(model, initial, grid, n, opts.seed, diag):
+        alive_count = len(ens.ids)
         if m[k] == 0:
             level = lo
-            alive[ids] = False
-            alive_count = 0
+            ens.kill(np.ones(alive_count, dtype=bool))
         elif m[k] >= alive_count:
             level = hi
         else:
-            level, kill = _select_level(x[ids], int(m[k]))
-            alive[ids[kill]] = False
-            alive_count = int(alive.sum())
-            if alive_count < m[k]:
+            level, kill = _select_level(ens.x, int(m[k]))
+            ens.kill(kill)
+            if len(ens.ids) < m[k]:
                 diag.tie_events += 1
-                diag.tie_shortfall += int(m[k]) - alive_count
+                diag.tie_shortfall += int(m[k]) - len(ens.ids)
         values[k] = level
-        achieved[k] = alive_count / n
-        prev_t = float(t)
+        achieved[k] = len(ens.ids) / n
 
     curve = BoundaryCurve(grid, values, off_grid_value=hi, domain_bounds=(lo, hi))
     diagnostics = diag.as_dict() if opts.record_diagnostics else {}
