@@ -17,11 +17,9 @@ from .calibrate import (
     CalibrationOptions,
     EmpiricalInitial,
     NormalInitial,
-    ParticleEnsemble,
     PointInitial,
     UniformInitial,
     calibrate,
-    calibration_step,
     refine_and_diagnose,
 )
 from .orders import (

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid, epigraph_hausdorff
-from .processes import Diagnostics, Levy, StateSpaceError, step_increments
+from .processes import Diagnostics, Levy, check_positions, step_increments
 from .rng import INIT_LABEL, StreamKeys, derive_seed, generator
 from .targets import TargetDistribution
 
@@ -89,21 +89,6 @@ class EmpiricalInitial(InitialDistribution):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ParticleEnsemble:
-    """Positions and alive flags of N paths; dead positions stay frozen."""
-
-    positions: np.ndarray
-    alive: np.ndarray
-    alive_count: int
-    step_index: int
-    seed: int
-
-    def __post_init__(self):
-        if self.alive_count != int(self.alive.sum()):
-            raise ValueError("alive_count must match the flags")
-
-
 @dataclass(frozen=True)
 class CalibrationOptions:
     particles: int
@@ -157,35 +142,18 @@ def evolve(model, initial: InitialDistribution, grid: TimeGrid, n: int, seed: in
     Yields ``(k, t, ensemble)`` after step k; the caller kills through
     ``ensemble.kill`` before the next step is drawn.
     """
-    lo, hi = model.state_bounds
     x = np.asarray(initial.sample(n, seed), dtype=float)
-    if np.any(x <= lo) or np.any(x >= hi) or not np.all(np.isfinite(x)):
-        raise StateSpaceError("initial sampler left the model state space")
+    check_positions(model, x, "initial sampler")
     ens = Ensemble(ids=np.arange(n), x=x)
     prev_t = 0.0
     for k, t in enumerate(grid.points):
         if len(ens.ids):
             keys = StreamKeys(seed=seed, step_index=k, ids=ens.ids, n_total=n)
             ens.x = step_increments(model, ens.x, float(t - prev_t), keys, diag)
+            # a NaN would compare false against every level and pass silently
+            check_positions(model, ens.x, f"step {k} (t = {t:g})")
         yield k, t, ens
         prev_t = float(t)
-
-
-def calibration_step(ensemble: ParticleEnsemble, target_count: int) -> tuple[float, ParticleEnsemble]:
-    """Kill down to target_count survivors; returns (level, new ensemble)."""
-    if not 0 <= target_count <= len(ensemble.positions):
-        raise ValueError("target_count out of range")
-    ids = np.flatnonzero(ensemble.alive)
-    level, kill = _select_level(ensemble.positions[ids], target_count)
-    alive = ensemble.alive.copy()
-    alive[ids[kill]] = False
-    return level, ParticleEnsemble(
-        positions=ensemble.positions,
-        alive=alive,
-        alive_count=int(alive.sum()),
-        step_index=ensemble.step_index,
-        seed=ensemble.seed,
-    )
 
 
 def calibrate(
@@ -203,6 +171,9 @@ def calibrate(
     if np.any(np.diff(s_target) > 1e-15):
         raise CalibrationError("target survival increases along the grid")
     m = round_half_up(n * s_target)
+    # the comparison with 0 also rejects NaN
+    if not np.all((s_target >= 0.0) & (m <= n)):
+        raise CalibrationError("target survival outside [0, 1] on the grid")
 
     values = np.empty(len(grid))
     achieved = np.empty(len(grid))

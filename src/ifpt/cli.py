@@ -90,7 +90,10 @@ def cmd_verify(args) -> int:
     csv_in = v["boundary_csv"]
     if not os.path.isabs(csv_in):
         csv_in = os.path.join(v["base_dir"], csv_in)
-    ts, bs = io.read_boundary_csv(csv_in)
+    try:
+        ts, bs = io.read_boundary_csv(csv_in)
+    except OSError as exc:
+        raise ConfigError("verify.boundary_csv", f"cannot read {csv_in!r}: {exc.strerror}") from exc
     grid = config.grid
     if len(ts) != len(grid) or not grid.matches(TimeGrid(ts)):
         raise io.CsvFormatError("boundary CSV grid does not match the config grid")

@@ -350,6 +350,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             "tolerance": _number(v, "verify", "tolerance"),
             "base_dir": base_dir,
         }
+        if verify["samples"] < 1:
+            raise ConfigError("verify.samples", "need at least 1 sample")
+        if not 0.0 < verify["tolerance"] <= 1.0:
+            raise ConfigError("verify.tolerance", "tolerance must be in (0, 1]")
 
     compare = None
     if "compare" in raw:

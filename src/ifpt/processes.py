@@ -17,13 +17,13 @@ tests pin this sign down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import exp1, gamma as gamma_fn, gammainc, gammaincc
+from scipy.special import exp1, gamma as gamma_fn, gammainc, gammaincc, pdtr
 
 from .rng import StreamKeys
 
@@ -580,12 +580,18 @@ class Diagnostics:
         }
 
 
-def _check_positions(model, positions: np.ndarray):
+def check_positions(model, positions: np.ndarray, where: str = "") -> None:
+    """Raise StateSpaceError unless every position is finite and in (L, R)."""
+    if not len(positions):
+        return
     lo, hi = model.state_bounds
+    # min and max are NaN if any entry is; NaN fails both comparisons
+    if lo < positions.min() and positions.max() < hi:
+        return
+    prefix = f"{where}: " if where else ""
     if not np.all(np.isfinite(positions)):
-        raise StateSpaceError("positions must be finite")
-    if np.any(positions <= lo) or np.any(positions >= hi):
-        raise StateSpaceError("position outside the open state space (L, R)")
+        raise StateSpaceError(prefix + "positions must be finite")
+    raise StateSpaceError(prefix + "position outside the open state space (L, R)")
 
 
 def step_increments(
@@ -597,17 +603,19 @@ def step_increments(
 ) -> np.ndarray:
     """Advance positions by one increment of length dt.
 
-    Pure in (model, positions, dt, stream_keys): the draws are keyed
-    blocks, so the result is independent of thread count and of which
+    Pure in (model, positions, dt, stream_keys): every draw is keyed by
+    particle id, so the result is independent of thread count and of which
     particles elsewhere in the ensemble are alive.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     positions = np.asarray(positions, dtype=float)
-    _check_positions(model, positions)
+    check_positions(model, positions)
     if isinstance(model, BrownianDrift):
         z = stream_keys.normals(slot=0)
-        return positions + model.mu * dt + model.vol * math.sqrt(dt) * z
+        z *= model.vol * math.sqrt(dt)
+        z += positions + model.mu * dt
+        return z
     if isinstance(model, Levy):
         return _step_levy(model, positions, dt, stream_keys)
     if isinstance(model, IntervalDiffusion):
@@ -615,22 +623,44 @@ def step_increments(
     raise TypeError(f"unknown process model {type(model).__name__}")
 
 
+@lru_cache(maxsize=64)
+def _poisson_cdf(lam: float) -> np.ndarray:
+    """P(N <= k) for N ~ Poisson(lam), k = 0, 1, ..., K, with P(N <= K) == 1.0.
+
+    Every uniform in (0, 1) lies below the last entry, so inversion never
+    indexes past the table.
+    """
+    k = 16
+    while pdtr(k, lam) < 1.0:
+        k *= 2
+    cdf = pdtr(np.arange(k + 1), lam)
+    cdf = cdf[: int(np.argmax(cdf >= 1.0)) + 1]
+    cdf.setflags(write=False)
+    return cdf
+
+
+def poisson_counts(lam: float, u: np.ndarray) -> np.ndarray:
+    """Poisson(lam) counts by inverse CDF of uniforms u in (0, 1)."""
+    return np.searchsorted(_poisson_cdf(lam), u)
+
+
 def _step_levy(model: Levy, x: np.ndarray, dt: float, keys: StreamKeys) -> np.ndarray:
     out = x + model.drift * dt
     if model.gauss_std > 0:
-        out = out + model.gauss_std * math.sqrt(dt) * keys.normals(slot=0)
+        z = keys.normals(slot=0)
+        z *= model.gauss_std * math.sqrt(dt)
+        out += z
     if model.jump_rate > 0:
-        counts_full = keys.poisson_full(model.jump_rate * dt, slot=1)
-        counts = counts_full[keys.ids]
-        # jump sizes come from full-width uniform rows so that a particle's
-        # j-th jump is keyed by (step, j, id), independent of the alive set
-        rows = keys.uniform_rows(slot=2)
-        for j in range(int(counts_full.max())):
-            row = next(rows)
-            jumping = counts > j
-            if jumping.any():
-                u = row[keys.ids[jumping]]
-                out[jumping] += model._tail_ppf(u)
+        counts = poisson_counts(model.jump_rate * dt, keys.uniforms(slot=1))
+        # a particle's j-th jump size is keyed (slot 2, row j, id): it does
+        # not depend on the alive set or on the other particles' counts
+        jumping = np.flatnonzero(counts)
+        j = 0
+        while len(jumping):
+            u = replace(keys, ids=keys.ids[jumping]).uniforms(slot=2, row=j)
+            out[jumping] += model._tail_ppf(u)
+            j += 1
+            jumping = jumping[counts[jumping] > j]
     return out
 
 

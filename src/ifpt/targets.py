@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .rng import SAMPLE_LABEL, generator
+from .rng import SAMPLE_LABEL, derive_seed, generator
 
 
 def norm_cdf(x):
@@ -185,7 +185,7 @@ class Mixture(TargetDistribution):
         for i, (_, comp) in enumerate(self.components):
             idx = np.flatnonzero(pick == i)
             if len(idx):
-                out[idx] = comp.sample(len(idx), seed ^ (0x5B << i))
+                out[idx] = comp.sample(len(idx), derive_seed(seed, 0x5B, i))
         return out
 
 

@@ -66,8 +66,7 @@ def forward_fpt(
         ens.kill(crossed)
         if not len(ens.ids):
             break
-    grid = boundary.grid
-    return FptSample(times=times, grid=grid, horizon=float(grid.points[-1]), n=n)
+    return FptSample(times=times, grid=boundary.grid, horizon=float(boundary.grid.points[-1]), n=n)
 
 
 def ks_statistic(sample: FptSample, target: TargetDistribution) -> float:

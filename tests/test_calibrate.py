@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifpt.boundary import TimeGrid
 from ifpt.calibrate import (
     CalibrationError,
     CalibrationOptions,
     EmpiricalInitial,
+    Ensemble,
     NormalInitial,
-    ParticleEnsemble,
     PointInitial,
     UniformInitial,
+    _select_level,
     calibrate,
-    calibration_step,
     refine_and_diagnose,
     round_half_up,
 )
@@ -28,53 +29,61 @@ from ifpt.processes import (
     StateSpaceError,
 )
 from ifpt.rng import generator, INIT_LABEL
-from ifpt.targets import Exponential, PointMass, TargetDistribution
+from ifpt.targets import Exponential, PointMass, TargetDistribution, Weibull
 from ifpt.verify import compare_boundaries
 
 INF = math.inf
 
 
-def ensemble(positions, alive=None, seed=0):
-    positions = np.asarray(positions, dtype=float)
-    alive = np.ones(len(positions), dtype=bool) if alive is None else np.asarray(alive)
-    return ParticleEnsemble(
-        positions=positions, alive=alive, alive_count=int(alive.sum()), step_index=0, seed=seed
-    )
+def select(positions, target_count):
+    return _select_level(np.asarray(positions, dtype=float), target_count)
 
 
 class TestCalibrationStep:
     def test_order_statistics_by_hand(self):
-        level, out = calibration_step(ensemble([0.1, 0.9, 0.4]), 2)
+        level, kill = select([0.1, 0.9, 0.4], 2)
         assert level == 0.9
-        assert list(out.positions[out.alive]) == [0.1, 0.4]
-        assert out.alive_count == 2
+        assert list(kill) == [False, True, False]
 
     def test_no_kill_when_target_reached(self):
-        level, out = calibration_step(ensemble([0.1, 0.9, 0.4]), 3)
+        level, kill = select([0.1, 0.9, 0.4], 3)
         assert level == INF
-        assert out.alive_count == 3
+        assert not kill.any()
 
     def test_target_zero_kills_all(self):
-        level, out = calibration_step(ensemble([0.1, 0.9, 0.4]), 0)
+        level, kill = select([0.1, 0.9, 0.4], 0)
         assert level == -INF
-        assert out.alive_count == 0
+        assert kill.all()
 
     def test_only_alive_particles_count(self):
-        e = ensemble([0.1, 0.9, 0.4, 0.2], alive=[True, True, True, False])
-        level, out = calibration_step(e, 2)
+        ens = Ensemble(ids=np.arange(4), x=np.array([0.1, 0.9, 0.4, 0.2]))
+        ens.kill(np.array([False, False, False, True]))
+        level, kill = _select_level(ens.x, 2)
         assert level == 0.9
-        # the dead particle's flag and position are untouched
-        assert not out.alive[3]
-        assert out.positions[3] == 0.2
+        ens.kill(kill)
+        # the survivors keep their ids and positions
+        assert list(ens.ids) == [0, 2]
+        assert list(ens.x) == [0.1, 0.4]
 
     def test_tie_block_killed_together(self):
-        level, out = calibration_step(ensemble([1.0, 1.0, 1.0, 0.5]), 2)
+        level, kill = select([1.0, 1.0, 1.0, 0.5], 2)
         assert level == 1.0
-        assert out.alive_count == 1  # shortfall: the tied block dies together
+        assert int((~kill).sum()) == 1  # shortfall: the tied block dies together
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            calibration_step(ensemble([0.0]), 2)
+        # target counts come from round(N * S): S above 1 would ask for
+        # more survivors than particles
+        class AboveOne(TargetDistribution):
+            def survival(self, t):
+                return np.full(np.shape(t), 1.5)
+
+        with pytest.raises(CalibrationError):
+            calibrate(
+                BrownianDrift(0, 1),
+                PointInitial(0.0),
+                AboveOne(),
+                CalibrationOptions(particles=10, grid=small_grid(), seed=0),
+            )
 
 
 class TestRoundHalfUp:
@@ -189,6 +198,28 @@ class TestCalibrate:
             CalibrationOptions(particles=n, grid=small_grid(), seed=7),
         )
         assert est.survival_achieved[-1] >= 0.4
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(2, 3000),
+        dt_exp=st.integers(3, 8),
+        first=st.integers(1, 4),
+        steps=st.integers(1, 48),
+        target=st.one_of(
+            st.builds(Exponential, st.floats(0.05, 20.0)),
+            st.builds(Weibull, st.floats(0.3, 4.0), st.floats(0.1, 5.0)),
+        ),
+    )
+    def test_survival_within_one_particle(self, seed, n, dt_exp, first, steps, target):
+        # Brownian positions are a.s. distinct, so no tied block is killed
+        dt = 2.0**-dt_exp
+        grid = TimeGrid.arithmetic(first * dt, dt, steps)
+        est = calibrate(
+            BrownianDrift(0, 1), PointInitial(0.0), target, CalibrationOptions(particles=n, grid=grid, seed=seed)
+        )
+        assert est.diagnostics["tie_events"] == 0
+        assert np.max(np.abs(est.survival_achieved - est.survival_target)) <= 1.0 / n
 
 
 class TestInitialDistributions:

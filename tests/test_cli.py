@@ -11,9 +11,9 @@ from ifpt import cli
 
 # golden hashes for the two small benchmark configs below; regenerate by
 # running the CLI and hashing boundary.csv if the RNG stream ever changes
-GOLDEN_A_SHA = "2dae91cf82620967effbf39ea5b907dcc2c08abf55dc78fe6e609e116ccca7b2"
+GOLDEN_A_SHA = "8525edc6b47241d43b607af1f81ef61a50a797583579e2a805ae612f14140929"
 GOLDEN_A_ROW1 = "0.03125,inf,0.99999998458274209,1"
-GOLDEN_B_SHA = "15199a4f340aba21cf8a4eb37d96722d68078c9e122cb43b1c527d06fba6af27"
+GOLDEN_B_SHA = "9e9b840b6e315adcff9438937c49fbd6551198867311b6e4c44af4f972b4ca09"
 
 CONFIG_A = {
     "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0},
@@ -165,6 +165,43 @@ class TestVerifyCommand:
         cfg = self._verify_cfg(str(bad), tolerance=0.1)
         rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
         assert rc == 2
+
+    def test_missing_boundary_csv_exits_2(self, tmp_path, capsys):
+        cfg = self._verify_cfg(str(tmp_path / "absent.csv"), tolerance=0.1)
+        rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
+        assert rc == 2
+        assert "verify.boundary_csv" in capsys.readouterr().err
+
+    def test_zero_samples_exits_2(self, tmp_path, capsys):
+        cfg = self._verify_cfg("unused.csv", tolerance=0.1, samples=0)
+        rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
+        assert rc == 2
+        assert "verify.samples" in capsys.readouterr().err
+
+    def test_tolerance_out_of_range_exits_2(self, tmp_path, capsys):
+        for tolerance in (0.0, 1.5):
+            cfg = self._verify_cfg("unused.csv", tolerance=tolerance)
+            rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
+            assert rc == 2
+            assert "verify.tolerance" in capsys.readouterr().err
+
+    def test_nan_step_exits_3(self, tmp_path, capsys):
+        # x**0.5 is NaN below 0; a NaN path never compares >= b, so without a
+        # check on the step outputs it would count as censored
+        cfg = self._verify_cfg("b.csv", tolerance=0.5, samples=2000)
+        cfg["process"] = {
+            "kind": "diffusion",
+            "beta": {"name": "power", "p": 0.5, "coeff": 1.0},
+            "sigma": {"name": "constant", "value": 1.0},
+            "dt_substeps": 2,
+        }
+        cfg["grid"] = {"t_start": 1.0, "dt": 1.0, "steps": 1}
+        (tmp_path / "b.csv").write_text("t,b\n1,-1\n")
+        with np.errstate(invalid="ignore"):
+            rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "step 0 (t = 1)" in err and "finite" in err
 
     def test_grid_mismatch_exits_2(self, tmp_path):
         _, out = run_calibrate(tmp_path, CONFIG_A)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ifpt.processes import (
@@ -96,6 +97,22 @@ class TestLevyStep:
         full = step_increments(model, np.zeros(n), 0.5, keys_for(n, seed=9, step=3))
         sub = np.array([5, 17, 400, 999])
         part = step_increments(model, np.zeros(4), 0.5, keys_for(n, seed=9, step=3, ids=sub))
+        assert np.array_equal(part, full[sub])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), step=st.integers(0, 4096), mask=st.lists(st.booleans(), min_size=1, max_size=400))
+    def test_subset_step_equals_full_step_restricted(self, seed, step, mask):
+        # jump rate about 10 and dt 0.5: many particles take several jumps
+        model = Levy(
+            LevyTriple(0.0, 0.25, measure(OneSidedStable("+", 0.5, 0.5, 1.0), FiniteAtoms(((1.0, 2.0),)))),
+            "gaussian",
+            0.01,
+        )
+        n = len(mask)
+        sub = np.flatnonzero(mask)
+        x0 = np.linspace(-1.0, 1.0, n)
+        full = step_increments(model, x0, 0.5, keys_for(n, seed=seed, step=step))
+        part = step_increments(model, x0[sub], 0.5, keys_for(n, seed=seed, step=step, ids=sub))
         assert np.array_equal(part, full[sub])
 
     def test_gaussian_surrogate_variance(self):

@@ -90,6 +90,17 @@ class TestSurvival:
         direct = 0.3 * comps[0][1].survival(ts) + 0.7 * comps[1][1].survival(ts)
         assert np.allclose(mix.survival(ts), direct, atol=1e-15)
 
+    def test_mixture_component_streams_do_not_overlap_across_seeds(self):
+        # components of one law, so an equal value means a shared stream
+        comp = Exponential(1.0)
+        mix = Mixture(((0.5, comp), (0.5, comp)))
+        for s in (0, 1, 12345, 2**63 + 7):
+            drawn = mix.sample(2000, s)
+            # seeding component i with s ^ (0x5B << i) handed component 1 the
+            # stream of seed s ^ (0x5B << 1), and component 0 of seed s ^ 0xED
+            for other in (comp.sample(2000, s ^ (0x5B << 1)), mix.sample(2000, s ^ 0xED)):
+                assert not np.intersect1d(drawn, other).size
+
 
 class TestSupSupportTime:
     def test_unbounded_kinds(self):
