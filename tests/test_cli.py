@@ -14,6 +14,10 @@ from ifpt import cli
 GOLDEN_A_SHA = "8525edc6b47241d43b607af1f81ef61a50a797583579e2a805ae612f14140929"
 GOLDEN_A_ROW1 = "0.03125,inf,0.99999998458274209,1"
 GOLDEN_B_SHA = "9e9b840b6e315adcff9438937c49fbd6551198867311b6e4c44af4f972b4ca09"
+# fpt.txt of a verify run on config B (Poisson counts and the fixed-curve
+# kill) and boundary.csv of config OU (Euler substeps, reflection)
+GOLDEN_B_FPT_SHA = "f2e976a6b7497346cecdcf08bf1619a046d98877f31d50f06c5c817d11a3a48c"
+GOLDEN_OU_SHA = "f580130c46507fc361fa249c09bb9403f6e008a2cd92121aa449e6300363a468"
 
 CONFIG_A = {
     "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0},
@@ -38,6 +42,23 @@ CONFIG_B = {
     "grid": {"t_start": 0.0625, "dt": 0.0625, "steps": 16},
     "particles": 1000,
     "seed": 3,
+}
+
+CONFIG_OU = {
+    "process": {
+        "kind": "diffusion",
+        "beta": {"name": "ou", "theta": 1.0},
+        "sigma": {"name": "constant", "value": 1.0},
+        "L": 0.0,
+        "R": None,
+        "lower_boundary_behavior": "reflecting",
+        "dt_substeps": 4,
+    },
+    "initial": {"kind": "uniform", "a": 0.5, "b": 1.5},
+    "target": {"kind": "exponential", "rate": 2.0},
+    "grid": {"t_start": 0.03125, "dt": 0.03125, "steps": 64},
+    "particles": 1500,
+    "seed": 9,
 }
 
 
@@ -72,6 +93,12 @@ class TestCalibrateCommand:
         assert rc == 0
         data = (out / "boundary.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == GOLDEN_B_SHA
+
+    def test_golden_bytes_config_ou(self, tmp_path):
+        rc, out = run_calibrate(tmp_path, CONFIG_OU)
+        assert rc == 0
+        data = (out / "boundary.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_OU_SHA
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         _, out1 = run_calibrate(tmp_path, CONFIG_A, "one", extra=("--threads", "1"))
@@ -202,6 +229,21 @@ class TestVerifyCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "step 0 (t = 1)" in err and "finite" in err
+
+    def test_golden_fpt_config_b(self, tmp_path):
+        _, out = run_calibrate(tmp_path, CONFIG_B)
+        cfg = {k: CONFIG_B[k] for k in ("process", "initial", "target", "grid")}
+        cfg["verify"] = {
+            "boundary_csv": str(out / "boundary.csv"),
+            "samples": 3000,
+            "seed": 21,
+            "tolerance": 0.1,
+        }
+        cfg["output"] = {"fpt": "fpt.txt"}
+        rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
+        assert rc == 0
+        data = (tmp_path / "fpt.txt").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_B_FPT_SHA
 
     def test_grid_mismatch_exits_2(self, tmp_path):
         _, out = run_calibrate(tmp_path, CONFIG_A)
