@@ -64,6 +64,7 @@ from .verify import (
     analytic_bm_level_cdf,
     analytic_bm_linear_cdf,
     compare_boundaries,
+    dkw_critical_value,
     forward_fpt,
     ks_statistic,
 )

@@ -105,42 +105,68 @@ def round_half_up(x) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=float) + 0.5).astype(np.int64)
 
 
-def _select_level(alive_positions: np.ndarray, target_count: int) -> tuple[float, np.ndarray]:
-    """Kill level and kill mask for one step; pure partial-selection.
+def _select_kills(x: np.ndarray, target_count: int) -> tuple[float, np.ndarray]:
+    """Kill level and the ascending positions of the entries at or above it.
 
-    The level is the (target_count + 1)-th smallest alive position and
-    every particle at or above it is killed.
+    The level is the (target_count + 1)-th smallest entry of x, the same
+    value as ``np.partition(x, target_count)[target_count]``; with
+    target_count >= len(x) nothing is killed and the level is +inf.  For r
+    kills, the r-th largest maximum tau over about 4r blocks bounds the
+    level from below (r blocks, so at least r entries, are >= tau), so only
+    the entries >= tau -- about r of them when x is in no particular
+    order -- are partitioned.  Ties are exact: the whole block at the level
+    is returned.
     """
-    a = len(alive_positions)
-    if target_count >= a:
-        return math.inf, np.zeros(a, dtype=bool)
-    if target_count == 0:
-        return -math.inf, np.ones(a, dtype=bool)
-    level = float(np.partition(alive_positions, target_count)[target_count])
-    return level, alive_positions >= level
+    a = len(x)
+    r = a - target_count
+    if r <= 0:
+        return math.inf, np.empty(0, dtype=np.intp)
+    # 4 blocks per kill keeps the candidate set near r entries while the
+    # block maxima stay a short array; r > a / 4 gives blocks of one entry
+    s = max(1, a // (4 * r))
+    block_max = np.maximum.reduceat(x, np.arange(0, a, s))
+    tau = np.partition(block_max, len(block_max) - r)[len(block_max) - r]
+    pos = np.flatnonzero(x >= tau)
+    cand = x[pos]
+    level = np.partition(cand, len(cand) - r)[len(cand) - r]
+    return float(level), pos[cand >= level]
 
 
 @dataclass(eq=False)
 class Ensemble:
-    """The alive particles of a run: ascending ids and their positions.
+    """The alive particles of a run: their ids, in no order, and positions.
 
-    Killed particles leave both arrays, so stepping, selection and killing
-    cost O(alive), not O(N).
+    Killed particles leave both arrays, so stepping and selection cost
+    O(alive) and removal moves only O(killed) entries.  Nothing depends on
+    the order of ``ids``: step draws are keyed per id and the kill level is
+    an order statistic.
     """
 
     ids: np.ndarray
     x: np.ndarray
 
-    def kill(self, mask: np.ndarray) -> None:
-        keep = ~mask
-        self.ids, self.x = self.ids[keep], self.x[keep]
+    def remove(self, idx: np.ndarray) -> None:
+        """Drop the entries at the ascending positions idx, in place.
+
+        Each hole below the new length is filled from a kept entry above
+        it, then both arrays are truncated.
+        """
+        keep = len(self.ids) - len(idx)
+        holes = int(np.searchsorted(idx, keep))
+        kept_above = np.ones(len(idx), dtype=bool)
+        kept_above[idx[holes:] - keep] = False
+        src = keep + np.flatnonzero(kept_above)
+        dst = idx[:holes]
+        self.ids[dst] = self.ids[src]
+        self.x[dst] = self.x[src]
+        self.ids, self.x = self.ids[:keep], self.x[:keep]
 
 
 def evolve(model, initial: InitialDistribution, grid: TimeGrid, n: int, seed: int, diag: Diagnostics | None):
     """Advance n keyed paths along the grid, one step per grid time.
 
     Yields ``(k, t, ensemble)`` after step k; the caller kills through
-    ``ensemble.kill`` before the next step is drawn.
+    ``ensemble.remove`` before the next step is drawn.
     """
     x = np.asarray(initial.sample(n, seed), dtype=float)
     check_positions(model, x, "initial sampler")
@@ -180,17 +206,15 @@ def calibrate(
     diag = Diagnostics()
     for k, _, ens in evolve(model, initial, grid, n, opts.seed, diag):
         alive_count = len(ens.ids)
+        level, idx = _select_kills(ens.x, int(m[k]))
+        ens.remove(idx)
         if m[k] == 0:
             level = lo
-            ens.kill(np.ones(alive_count, dtype=bool))
         elif m[k] >= alive_count:
             level = hi
-        else:
-            level, kill = _select_level(ens.x, int(m[k]))
-            ens.kill(kill)
-            if len(ens.ids) < m[k]:
-                diag.tie_events += 1
-                diag.tie_shortfall += int(m[k]) - len(ens.ids)
+        elif len(ens.ids) < m[k]:
+            diag.tie_events += 1
+            diag.tie_shortfall += int(m[k]) - len(ens.ids)
         values[k] = level
         achieved[k] = len(ens.ids) / n
 

@@ -6,7 +6,8 @@
 Exit codes: 0 success (verify/compare: check passed), 1 check failed,
 2 configuration or input-format error, 3 runtime model error.  Given a
 seed, every command is a pure function of its config: repeated runs
-produce byte-identical outputs regardless of --threads.
+produce byte-identical outputs.  --threads is accepted and echoed in the
+report, but the solver runs on one thread.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from .calibrate import CalibrationOptions, calibrate
 from .config import ConfigError, RunConfig, load_config, require
 from .orders import check_hazard_order
 from .processes import Levy, StateSpaceError, classify_levy
-from .verify import compare_boundaries, forward_fpt, ks_statistic
+from .verify import compare_boundaries, dkw_critical_value, forward_fpt, ks_statistic
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# level of the DKW critical value reported next to the verify tolerance
+DKW_ALPHA = 0.05
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -40,7 +44,9 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("-c", "--config", required=True, help="JSON run configuration")
         sp.add_argument("-o", "--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=1, help="worker cap; never affects results")
+        sp.add_argument(
+            "--threads", type=int, default=1, help="accepted and echoed in the report; the solver runs on one thread"
+        )
     return p
 
 
@@ -101,15 +107,21 @@ def cmd_verify(args) -> int:
     curve = BoundaryCurve(grid, bs, off_grid_value=hi, domain_bounds=(lo, hi))
     seed = args.seed if args.seed is not None else v["seed"]
     sample = forward_fpt(config.process, config.initial, curve, v["samples"], seed)
-    ks = ks_statistic(sample, config.target)
+    ks, witness = ks_statistic(sample, config.target, with_witness=True)
     passed = ks <= v["tolerance"]
+    dkw = dkw_critical_value(v["samples"], DKW_ALPHA)
     report = {
         "command": "verify",
         "seed": seed,
         "threads": args.threads,
         "model": _echo_model(config),
         "ks_statistic": ks,
+        "ks_witness_time": witness,
         "tolerance": v["tolerance"],
+        "dkw_alpha": DKW_ALPHA,
+        "dkw_critical_value": dkw,
+        # below the DKW value, a correct boundary may fail more often than alpha
+        "tolerance_below_dkw": bool(v["tolerance"] < dkw),
         "censored_fraction": sample.censored_fraction,
         "passed": bool(passed),
     }

@@ -640,8 +640,23 @@ def _poisson_cdf(lam: float) -> np.ndarray:
 
 
 def poisson_counts(lam: float, u: np.ndarray) -> np.ndarray:
-    """Poisson(lam) counts by inverse CDF of uniforms u in (0, 1)."""
+    """Poisson(lam) counts by inverse CDF of uniforms u in (0, 1).
+
+    The full-width definition; the stepper uses ``poisson_jumps``, which
+    the tests hold to it.
+    """
     return np.searchsorted(_poisson_cdf(lam), u)
+
+
+def poisson_jumps(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions i with a nonzero count in ``poisson_counts(lam, u)``, and those counts.
+
+    A count is 0 exactly when u <= P(N = 0), so the table search runs only
+    on the uniforms that jump.
+    """
+    cdf = _poisson_cdf(lam)
+    jumping = np.flatnonzero(u > cdf[0])
+    return jumping, np.searchsorted(cdf, u[jumping])
 
 
 def _step_levy(model: Levy, x: np.ndarray, dt: float, keys: StreamKeys) -> np.ndarray:
@@ -651,16 +666,16 @@ def _step_levy(model: Levy, x: np.ndarray, dt: float, keys: StreamKeys) -> np.nd
         z *= model.gauss_std * math.sqrt(dt)
         out += z
     if model.jump_rate > 0:
-        counts = poisson_counts(model.jump_rate * dt, keys.uniforms(slot=1))
+        jumping, counts = poisson_jumps(model.jump_rate * dt, keys.uniforms(slot=1))
         # a particle's j-th jump size is keyed (slot 2, row j, id): it does
         # not depend on the alive set or on the other particles' counts
-        jumping = np.flatnonzero(counts)
         j = 0
         while len(jumping):
             u = replace(keys, ids=keys.ids[jumping]).uniforms(slot=2, row=j)
             out[jumping] += model._tail_ppf(u)
             j += 1
-            jumping = jumping[counts[jumping] > j]
+            more = counts > j
+            jumping, counts = jumping[more], counts[more]
     return out
 
 
@@ -675,7 +690,6 @@ def _step_diffusion(
     h = dt / m
     sqh = math.sqrt(h)
     z = keys.normal_block(m, slot=0)
-    x = x.copy()
     reflect = model.lower_boundary_behavior == "reflecting"
     for j in range(m):
         prop = x + np.asarray(model.beta(x), dtype=float) * h

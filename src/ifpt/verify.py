@@ -61,23 +61,41 @@ def forward_fpt(
     """Simulate n fresh paths; FPT is the first grid time with X >= b."""
     times = np.full(n, math.inf)
     for k, t, ens in evolve(model, initial, boundary.grid, n, seed, diag):
-        crossed = ens.x >= boundary.values[k]
+        crossed = np.flatnonzero(ens.x >= boundary.values[k])
         times[ens.ids[crossed]] = t
-        ens.kill(crossed)
+        ens.remove(crossed)
         if not len(ens.ids):
             break
     return FptSample(times=times, grid=boundary.grid, horizon=float(boundary.grid.points[-1]), n=n)
 
 
-def ks_statistic(sample: FptSample, target: TargetDistribution) -> float:
-    """sup over grid times of |empirical P(tau <= t) - (1 - S(t))|."""
+def ks_statistic(sample: FptSample, target: TargetDistribution, *, with_witness: bool = False):
+    """sup over grid times of |empirical P(tau <= t) - (1 - S(t))|.
+
+    With ``with_witness``, returns ``(statistic, t)`` where t is the first
+    grid time attaining the supremum.
+    """
     if sample.n == 0:
         raise ValueError("sample must be nonempty")
     finite = np.sort(sample.times[np.isfinite(sample.times)])
     ts = sample.grid.points
     emp = np.searchsorted(finite, ts, side="right") / sample.n
     cdf = 1.0 - np.asarray(target.survival(ts), dtype=float)
-    return float(np.max(np.abs(emp - cdf)))
+    gap = np.abs(emp - cdf)
+    i = int(np.argmax(gap))
+    if with_witness:
+        return float(gap[i]), float(ts[i])
+    return float(gap[i])
+
+
+def dkw_critical_value(n: int, alpha: float) -> float:
+    """The (1 - alpha) bound on the KS statistic of n samples, sqrt(ln(2/alpha) / (2n)).
+
+    By the Dvoretzky-Kiefer-Wolfowitz inequality with Massart's constant,
+    the statistic of a correct boundary exceeds it with probability at
+    most alpha (the grid-time statistic is a sup over fewer points).
+    """
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
 def compare_boundaries(b1: BoundaryEstimate, b2: BoundaryEstimate, slack: float = 0.0) -> OrderReport:

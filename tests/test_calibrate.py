@@ -13,7 +13,7 @@ from ifpt.calibrate import (
     NormalInitial,
     PointInitial,
     UniformInitial,
-    _select_level,
+    _select_kills,
     calibrate,
     refine_and_diagnose,
     round_half_up,
@@ -36,39 +36,40 @@ INF = math.inf
 
 
 def select(positions, target_count):
-    return _select_level(np.asarray(positions, dtype=float), target_count)
+    return _select_kills(np.asarray(positions, dtype=float), target_count)
 
 
 class TestCalibrationStep:
     def test_order_statistics_by_hand(self):
         level, kill = select([0.1, 0.9, 0.4], 2)
         assert level == 0.9
-        assert list(kill) == [False, True, False]
+        assert list(kill) == [1]
 
     def test_no_kill_when_target_reached(self):
         level, kill = select([0.1, 0.9, 0.4], 3)
         assert level == INF
-        assert not kill.any()
+        assert len(kill) == 0
 
     def test_target_zero_kills_all(self):
+        # the level is the smallest position; calibrate reports the lower
+        # end of the state space there instead
         level, kill = select([0.1, 0.9, 0.4], 0)
-        assert level == -INF
-        assert kill.all()
+        assert level == 0.1
+        assert list(kill) == [0, 1, 2]
 
     def test_only_alive_particles_count(self):
         ens = Ensemble(ids=np.arange(4), x=np.array([0.1, 0.9, 0.4, 0.2]))
-        ens.kill(np.array([False, False, False, True]))
-        level, kill = _select_level(ens.x, 2)
+        ens.remove(np.array([3]))
+        level, kill = _select_kills(ens.x, 2)
         assert level == 0.9
-        ens.kill(kill)
-        # the survivors keep their ids and positions
-        assert list(ens.ids) == [0, 2]
-        assert list(ens.x) == [0.1, 0.4]
+        ens.remove(kill)
+        # the survivors keep their ids and positions, in no particular order
+        assert sorted(zip(ens.ids, ens.x)) == [(0, 0.1), (2, 0.4)]
 
     def test_tie_block_killed_together(self):
         level, kill = select([1.0, 1.0, 1.0, 0.5], 2)
         assert level == 1.0
-        assert int((~kill).sum()) == 1  # shortfall: the tied block dies together
+        assert len(kill) == 3  # shortfall: the tied block dies together
 
     def test_range_validation(self):
         # target counts come from round(N * S): S above 1 would ask for
@@ -84,6 +85,32 @@ class TestCalibrationStep:
                 AboveOne(),
                 CalibrationOptions(particles=10, grid=small_grid(), seed=0),
             )
+
+
+class TestSelectAndRemove:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), a=st.integers(1, 5000), distinct=st.integers(1, 10**6), data=st.data())
+    def test_selection_matches_partition(self, seed, a, distinct, data):
+        # few distinct values give heavy ties; r kills from 1 to a
+        x = np.random.default_rng(seed).integers(0, distinct, a).astype(float)
+        m = a - data.draw(st.integers(1, a), label="r")
+        level, kill = _select_kills(x, m)
+        ref = np.partition(x, m)[m]
+        assert level == ref
+        assert np.array_equal(kill, np.flatnonzero(x >= ref))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), a=st.integers(0, 300), kill_frac=st.floats(0.0, 1.0))
+    def test_remove_keeps_surviving_pairs(self, seed, a, kill_frac):
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(a)
+        x = rng.integers(0, 5, a).astype(float)
+        idx = np.flatnonzero(rng.random(a) < kill_frac)
+        survivors = np.setdiff1d(np.arange(a), idx)
+        expected = sorted(zip(ids[survivors].tolist(), x[survivors].tolist()))
+        ens = Ensemble(ids=ids.copy(), x=x.copy())
+        ens.remove(idx)
+        assert sorted(zip(ens.ids.tolist(), ens.x.tolist())) == expected
 
 
 class TestRoundHalfUp:

@@ -186,6 +186,20 @@ class TestVerifyCommand:
         t1 = grid["t_start"]
         assert report["ks_statistic"] == pytest.approx(math.exp(-t1), abs=1e-12)
 
+    def test_report_has_witness_and_dkw_value(self, tmp_path):
+        _, out = run_calibrate(tmp_path, CONFIG_A)
+        for samples, below in ((500, True), (20_000, False)):
+            cfg = self._verify_cfg(str(out / "boundary.csv"), tolerance=0.05, samples=samples)
+            cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
+            report = json.loads((tmp_path / "report.json").read_text())
+            dkw = math.sqrt(math.log(2 / 0.05) / (2 * samples))
+            assert report["dkw_alpha"] == 0.05
+            assert report["dkw_critical_value"] == pytest.approx(dkw, rel=1e-15)
+            assert report["tolerance_below_dkw"] is below
+            grid = CONFIG_A["grid"]
+            k = (report["ks_witness_time"] - grid["t_start"]) / grid["dt"]
+            assert k == int(k) and 0 <= k < grid["steps"]
+
     def test_malformed_csv_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ifpt.processes import _poisson_cdf, poisson_counts
+from ifpt.processes import _poisson_cdf, poisson_counts, poisson_jumps
 from ifpt.rng import StreamKeys, keyed_uniforms
 
 seeds = st.integers(0, 2**64 - 1)
@@ -87,3 +87,15 @@ class TestPoissonCounts:
         # P(N = 0) = e^-1 for lam = 1: uniforms on either side of it
         p0 = math.exp(-1.0)
         assert list(poisson_counts(1.0, np.array([p0 * 0.999, p0 * 1.001]))) == [0, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(lam=st.floats(1e-4, 50.0), key=seeds, n=st.integers(0, 2000))
+    def test_jump_only_counts_match_the_full_inversion(self, lam, key, n):
+        cdf = _poisson_cdf(lam)
+        # the keyed uniforms, plus both sides of the zero-count edge
+        u = np.concatenate([keyed_uniforms(key, np.arange(n)), [cdf[0], np.nextafter(cdf[0], 1.0)]])
+        jumping, counts = poisson_jumps(lam, u)
+        full = np.searchsorted(cdf, u)
+        assert np.array_equal(jumping, np.flatnonzero(full))
+        assert np.array_equal(counts, full[jumping])
+        assert full[-2] == 0 and full[-1] == 1

@@ -99,6 +99,14 @@ class TestKsStatistic:
         cell = float(np.max(np.abs(np.diff(target.survival(grid.points)))))
         assert ks_statistic(s, target) <= 1.63 / math.sqrt(n) + cell
 
+    def test_witness_is_first_time_attaining_the_sup(self):
+        # half the paths cross at t = 2, against a point mass at 3: the gap
+        # is 0, 1/2, 1/2 at t = 1, 2, 3
+        grid = TimeGrid.arithmetic(1.0, 1.0, 3)
+        s = FptSample(times=np.repeat([2.0, INF], 50), grid=grid, horizon=3.0, n=100)
+        assert ks_statistic(s, PointMass(3.0), with_witness=True) == (0.5, 2.0)
+        assert ks_statistic(s, PointMass(3.0)) == 0.5
+
     def test_empty_sample_rejected(self):
         grid = TimeGrid(np.array([1.0]))
         s = FptSample(times=np.array([]), grid=grid, horizon=1.0, n=0)
