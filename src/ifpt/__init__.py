@@ -9,7 +9,6 @@ from .boundary import (
     BoundaryEstimate,
     TimeGrid,
     epigraph_hausdorff,
-    evaluate,
     restrict_after,
     shift_up,
 )
@@ -55,9 +54,6 @@ from .targets import (
     PointMass,
     Weibull,
     sample,
-    sup_support_time,
-    survival,
-    validate,
 )
 from .verify import (
     FptSample,

@@ -119,17 +119,13 @@ class BoundaryCurve:
         vals.setflags(write=False)
 
     def __call__(self, t: float) -> float:
-        return evaluate(self, t)
-
-
-def evaluate(curve: BoundaryCurve, t: float) -> float:
-    """Curve value at time t; the fill value everywhere off the grid."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    idx = curve.grid.lookup(t)
-    if idx is None:
-        return curve.off_grid_value
-    return float(curve.values[idx])
+        """Curve value at time t; the fill value everywhere off the grid."""
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        idx = self.grid.lookup(t)
+        if idx is None:
+            return self.off_grid_value
+        return float(self.values[idx])
 
 
 def restrict_after(curve: BoundaryCurve, s: float) -> BoundaryCurve:

@@ -17,7 +17,7 @@ is counted and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -94,7 +94,6 @@ class CalibrationOptions:
     particles: int
     grid: TimeGrid
     seed: int
-    record_diagnostics: bool = True
 
     def __post_init__(self):
         if self.particles < 2:
@@ -219,8 +218,8 @@ def calibrate(
         achieved[k] = len(ens.ids) / n
 
     curve = BoundaryCurve(grid, values, off_grid_value=hi, domain_bounds=(lo, hi))
-    diagnostics = diag.as_dict() if opts.record_diagnostics else {}
-    if opts.record_diagnostics and isinstance(model, Levy):
+    diagnostics = asdict(diag)
+    if isinstance(model, Levy):
         # small-jump budget: in discard mode the per-step martingale error
         # exceeds C with probability at most max_dt * variance / C^2
         max_dt = float(np.max(np.diff(np.concatenate([[0.0], grid.points]))))
@@ -266,7 +265,6 @@ def refine_and_diagnose(
             particles=opts.particles,
             grid=grid,
             seed=derive_seed(opts.seed, 0x7E, j),
-            record_diagnostics=opts.record_diagnostics,
         )
         estimates.append(calibrate(model, initial, target, level_opts))
         if j:

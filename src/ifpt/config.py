@@ -3,6 +3,12 @@
 The document is schema-validated before any computation: unknown keys are
 rejected, every error message names the offending key path.  Grids exclude
 zero, so t_start must be at least dt.
+
+Targets, initial laws, processes, Lévy measure components and diffusion
+coefficients are read through one table each.  A table maps the value of
+the kind tag to the constructor and to the parsers of its required and
+optional keys.  An optional key that is absent leaves the model's own
+default in place, so every default is written once, in the model class.
 """
 
 from __future__ import annotations
@@ -23,15 +29,19 @@ from .calibrate import (
     UniformInitial,
 )
 from .processes import (
-    COEFFICIENTS,
+    OU,
+    BesselDrift,
     BrownianDrift,
+    Constant,
     FiniteAtoms,
     GammaSubordinatorMeasure,
     IntervalDiffusion,
     Levy,
     LevyMeasureSpec,
     LevyTriple,
+    Linear,
     OneSidedStable,
+    Power,
 )
 from .targets import (
     EmpiricalTarget,
@@ -62,221 +72,179 @@ def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = f
         raise ConfigError(path, f"unknown key '{sorted(unknown)[0]}'")
 
 
-def _number(obj: dict, path: str, key: str) -> float:
-    v = obj[key]
+# Value parsers: (value, key path, directory of the config file) -> value.
+
+
+def _number(v, path: str, base_dir: str = ".") -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", "expected a number")
+        raise ConfigError(path, "expected a number")
     return float(v)
 
 
-def _integer(obj: dict, path: str, key: str) -> int:
-    v = obj[key]
+def _integer(v, path: str, base_dir: str = ".") -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}", "expected an integer")
+        raise ConfigError(path, "expected an integer")
     return v
 
 
-def _string(obj: dict, path: str, key: str) -> str:
-    v = obj[key]
+def _string(v, path: str, base_dir: str = ".") -> str:
     if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}", "expected a string")
+        raise ConfigError(path, "expected a string")
     return v
 
 
-def _extended(obj: dict, path: str, key: str, default: float) -> float:
-    v = obj.get(key)
+def _extended(v, path: str, base_dir: str = ".") -> float | None:
+    """A number, 'inf' or '-inf'; None for null, which keeps the default."""
     if v is None:
-        return default
+        return None
     if v == "inf":
         return math.inf
     if v == "-inf":
         return -math.inf
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", "expected a number, 'inf', '-inf' or null")
+        raise ConfigError(path, "expected a number, 'inf', '-inf' or null")
     return float(v)
 
 
-def build_target(spec: dict, path: str = "target", base_dir: str = ".") -> TargetDistribution:
-    _check_keys(spec, path, {"kind"}, {"rate", "shape", "scale", "c", "gamma", "t0", "components", "path"})
-    kind = _string(spec, path, "kind")
-    try:
-        if kind == "exponential":
-            _check_keys(spec, path, {"kind", "rate"})
-            return Exponential(rate=_number(spec, path, "rate"))
-        if kind == "weibull":
-            _check_keys(spec, path, {"kind", "shape", "scale"})
-            return Weibull(shape=_number(spec, path, "shape"), scale=_number(spec, path, "scale"))
-        if kind == "levy_hitting":
-            _check_keys(spec, path, {"kind", "c"})
-            return LevyHittingLaw(c=_number(spec, path, "c"))
-        if kind == "inverse_gaussian_hitting":
-            _check_keys(spec, path, {"kind", "c", "gamma"})
-            return InverseGaussianHitting(c=_number(spec, path, "c"), gamma=_number(spec, path, "gamma"))
-        if kind == "point_mass":
-            _check_keys(spec, path, {"kind", "t0"})
-            return PointMass(t0=_number(spec, path, "t0"))
-        if kind == "mixture":
-            _check_keys(spec, path, {"kind", "components"})
-            comps = []
-            for i, item in enumerate(spec["components"]):
-                ipath = f"{path}.components[{i}]"
-                _check_keys(item, ipath, {"weight", "target"})
-                comps.append(
-                    (_number(item, ipath, "weight"), build_target(item["target"], f"{ipath}.target", base_dir))
-                )
-            return Mixture(components=tuple(comps))
-        if kind == "empirical":
-            _check_keys(spec, path, {"kind", "path"})
-            return EmpiricalTarget(samples=_load_samples(spec["path"], path, base_dir))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown target kind {kind!r}")
+def _as_is(v, path: str, base_dir: str = "."):
+    """The value unchanged; the constructor checks it."""
+    return v
 
 
-def build_initial(spec: dict, path: str = "initial", base_dir: str = ".") -> InitialDistribution:
-    _check_keys(spec, path, {"kind"}, {"x", "a", "b", "mean", "std", "path"})
-    kind = _string(spec, path, "kind")
-    if kind == "point":
-        _check_keys(spec, path, {"kind", "x"})
-        return PointInitial(x=_number(spec, path, "x"))
-    if kind == "uniform":
-        _check_keys(spec, path, {"kind", "a", "b"})
-        return UniformInitial(a=_number(spec, path, "a"), b=_number(spec, path, "b"))
-    if kind == "normal":
-        _check_keys(spec, path, {"kind", "mean", "std"})
-        return NormalInitial(mean=_number(spec, path, "mean"), std=_number(spec, path, "std"))
-    if kind == "empirical":
-        _check_keys(spec, path, {"kind", "path"})
-        return EmpiricalInitial(samples=_load_samples(spec["path"], path, base_dir))
-    raise ConfigError(f"{path}.kind", f"unknown initial kind {kind!r}")
-
-
-def _load_samples(relpath, path: str, base_dir: str) -> np.ndarray:
+def _samples(relpath, path: str, base_dir: str) -> np.ndarray:
     if not isinstance(relpath, str):
-        raise ConfigError(f"{path}.path", "expected a file path string")
+        raise ConfigError(path, "expected a file path string")
     full = relpath if os.path.isabs(relpath) else os.path.join(base_dir, relpath)
     try:
         data = np.loadtxt(full, ndmin=1)
     except OSError as exc:
-        raise ConfigError(f"{path}.path", f"cannot read {full!r}: {exc}") from exc
+        raise ConfigError(path, f"cannot read {full!r}: {exc}") from exc
     if data.size == 0:
-        raise ConfigError(f"{path}.path", "sample file is empty")
+        raise ConfigError(path, "sample file is empty")
     return data
 
 
-def _build_coefficient(spec: dict, path: str):
-    _check_keys(spec, path, {"name"}, {"value", "a", "b", "theta", "delta", "p", "coeff"})
-    name = _string(spec, path, "name")
-    if name not in COEFFICIENTS:
-        raise ConfigError(f"{path}.name", f"unknown coefficient {name!r}")
-    params = {
-        "constant": ("value",),
-        "linear": ("a", "b"),
-        "ou": ("theta",),
-        "bessel_drift": ("delta",),
-        "power": ("p", "coeff"),
-    }[name]
-    _check_keys(spec, path, {"name", *params})
-    return COEFFICIENTS[name](*(_number(spec, path, k) for k in params))
+def _build(spec, path: str, tag: str, table: dict, base_dir: str = "."):
+    """The object that ``spec[tag]`` names in table, built from the other keys.
 
-
-def _build_measure(items, path: str) -> LevyMeasureSpec:
-    if not isinstance(items, list):
-        raise ConfigError(path, "expected a list of measure components")
-    comps = []
-    for i, item in enumerate(items):
-        ipath = f"{path}[{i}]"
-        _check_keys(item, ipath, {"type"}, {"atoms", "side", "alpha", "intensity", "tempering", "shape", "rate"})
-        typ = _string(item, ipath, "type")
-        try:
-            if typ == "atoms":
-                _check_keys(item, ipath, {"type", "atoms"})
-                pairs = item["atoms"]
-                comps.append(FiniteAtoms(atoms=tuple((float(x), float(r)) for x, r in pairs)))
-            elif typ == "stable":
-                _check_keys(item, ipath, {"type", "side", "alpha", "intensity"}, {"tempering"})
-                comps.append(
-                    OneSidedStable(
-                        side=_string(item, ipath, "side"),
-                        alpha=_number(item, ipath, "alpha"),
-                        intensity=_number(item, ipath, "intensity"),
-                        tempering=_number(item, ipath, "tempering") if "tempering" in item else 0.0,
-                    )
-                )
-            elif typ == "gamma":
-                _check_keys(item, ipath, {"type", "side", "shape", "rate"})
-                comps.append(
-                    GammaSubordinatorMeasure(
-                        side=_string(item, ipath, "side"),
-                        shape=_number(item, ipath, "shape"),
-                        rate=_number(item, ipath, "rate"),
-                    )
-                )
-            else:
-                raise ConfigError(f"{ipath}.type", f"unknown measure component {typ!r}")
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(ipath, str(exc)) from exc
-    return LevyMeasureSpec(components=tuple(comps))
-
-
-def build_process(spec: dict, path: str = "process"):
-    _check_keys(
-        spec,
-        path,
-        {"kind"},
-        {"mu", "vol", "a", "sigma2", "measure", "eta", "small_jump_mode",
-         "beta", "sigma", "L", "R", "lower_boundary_behavior", "dt_substeps"},
-    )
-    kind = _string(spec, path, "kind")
+    Required values go to the constructor in table order, optional ones by
+    key.  A constructor's TypeError or ValueError is reported at path.
+    """
+    allowed = {key for _, required, optional in table.values() for key in (*required, *optional)}
+    _check_keys(spec, path, {tag}, allowed)
+    kind = _string(spec[tag], f"{path}.{tag}")
+    if kind not in table:
+        raise ConfigError(f"{path}.{tag}", f"unknown {tag} {kind!r}, expected one of {', '.join(table)}")
+    make, required, optional = table[kind]
+    _check_keys(spec, path, {tag, *required}, set(optional))
     try:
-        if kind == "brownian":
-            _check_keys(spec, path, {"kind", "mu", "vol"})
-            return BrownianDrift(mu=_number(spec, path, "mu"), vol=_number(spec, path, "vol"))
-        if kind == "levy":
-            _check_keys(spec, path, {"kind", "a", "sigma2", "measure"}, {"eta", "small_jump_mode"})
-            triple = LevyTriple(
-                a=_number(spec, path, "a"),
-                sigma2=_number(spec, path, "sigma2"),
-                levy_measure=_build_measure(spec["measure"], f"{path}.measure"),
-            )
-            return Levy(
-                triple=triple,
-                small_jump_mode=_string(spec, path, "small_jump_mode") if "small_jump_mode" in spec else "gaussian",
-                eta=_number(spec, path, "eta") if "eta" in spec else 1e-2,
-            )
-        if kind == "diffusion":
-            _check_keys(
-                spec, path, {"kind", "beta", "sigma"},
-                {"L", "R", "lower_boundary_behavior", "dt_substeps"},
-            )
-            return IntervalDiffusion(
-                beta=_build_coefficient(spec["beta"], f"{path}.beta"),
-                sigma=_build_coefficient(spec["sigma"], f"{path}.sigma"),
-                L=_extended(spec, path, "L", -math.inf),
-                R=_extended(spec, path, "R", math.inf),
-                lower_boundary_behavior=(
-                    _string(spec, path, "lower_boundary_behavior")
-                    if "lower_boundary_behavior" in spec
-                    else "unattainable"
-                ),
-                dt_substeps=_integer(spec, path, "dt_substeps") if "dt_substeps" in spec else 1,
-            )
+        args = [parse(spec[key], f"{path}.{key}", base_dir) for key, parse in required.items()]
+        options = {
+            key: parse(spec[key], f"{path}.{key}", base_dir) for key, parse in optional.items() if key in spec
+        }
+        # a parsed None (null for L or R) keeps the default, like an absent key
+        return make(*args, **{key: v for key, v in options.items() if v is not None})
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown process kind {kind!r}")
+
+
+def _components(items, path: str, base_dir: str) -> tuple:
+    if not isinstance(items, list) or not items:
+        raise ConfigError(path, "expected a nonempty list of components")
+    comps = []
+    for i, item in enumerate(items):
+        ipath = f"{path}[{i}]"
+        _check_keys(item, ipath, {"weight", "target"})
+        weight = _number(item["weight"], f"{ipath}.weight")
+        comps.append((weight, _build(item["target"], f"{ipath}.target", "kind", TARGETS, base_dir)))
+    return tuple(comps)
+
+
+def _measure(items, path: str, base_dir: str) -> LevyMeasureSpec:
+    if not isinstance(items, list):
+        raise ConfigError(path, "expected a list of measure components")
+    return LevyMeasureSpec(
+        tuple(_build(item, f"{path}[{i}]", "type", MEASURES, base_dir) for i, item in enumerate(items))
+    )
+
+
+def _coefficient(spec, path: str, base_dir: str):
+    return _build(spec, path, "name", COEFFICIENTS, base_dir)
+
+
+def _levy(a: float, sigma2: float, measure: LevyMeasureSpec, **options) -> Levy:
+    return Levy(LevyTriple(a, sigma2, measure), **options)
+
+
+# kind -> (constructor, {required key: parser}, {optional key: parser}); the
+# required keys are listed in the order of the constructor's arguments
+
+TARGETS = {
+    "exponential": (Exponential, {"rate": _number}, {}),
+    "weibull": (Weibull, {"shape": _number, "scale": _number}, {}),
+    "levy_hitting": (LevyHittingLaw, {"c": _number}, {}),
+    "inverse_gaussian_hitting": (InverseGaussianHitting, {"c": _number, "gamma": _number}, {}),
+    "point_mass": (PointMass, {"t0": _number}, {}),
+    "mixture": (Mixture, {"components": _components}, {}),
+    "empirical": (EmpiricalTarget, {"path": _samples}, {}),
+}
+
+INITIALS = {
+    "point": (PointInitial, {"x": _number}, {}),
+    "uniform": (UniformInitial, {"a": _number, "b": _number}, {}),
+    "normal": (NormalInitial, {"mean": _number, "std": _number}, {}),
+    "empirical": (EmpiricalInitial, {"path": _samples}, {}),
+}
+
+PROCESSES = {
+    "brownian": (BrownianDrift, {"mu": _number, "vol": _number}, {}),
+    "levy": (
+        _levy,
+        {"a": _number, "sigma2": _number, "measure": _measure},
+        {"small_jump_mode": _string, "eta": _number},
+    ),
+    "diffusion": (
+        IntervalDiffusion,
+        {"beta": _coefficient, "sigma": _coefficient},
+        {"L": _extended, "R": _extended, "lower_boundary_behavior": _string, "dt_substeps": _integer},
+    ),
+}
+
+MEASURES = {
+    "atoms": (FiniteAtoms, {"atoms": _as_is}, {}),
+    "stable": (
+        OneSidedStable,
+        {"side": _string, "alpha": _number, "intensity": _number},
+        {"tempering": _number},
+    ),
+    "gamma": (GammaSubordinatorMeasure, {"side": _string, "shape": _number, "rate": _number}, {}),
+}
+
+COEFFICIENTS = {
+    "constant": (Constant, {"value": _number}, {}),
+    "linear": (Linear, {"a": _number, "b": _number}, {}),
+    "ou": (OU, {"theta": _number}, {}),
+    "bessel_drift": (BesselDrift, {"delta": _number}, {}),
+    "power": (Power, {"p": _number, "coeff": _number}, {}),
+}
+
+
+def build_target(spec, path: str = "target", base_dir: str = ".") -> TargetDistribution:
+    """A target law from its spec; a law no xi > 0 can have is a ConfigError at path."""
+    target = _build(spec, path, "kind", TARGETS, base_dir)
+    problems = target.validate()
+    if problems:
+        raise ConfigError(path, problems[0])
+    return target
 
 
 def build_grid(spec: dict, path: str = "grid") -> TimeGrid:
     _check_keys(spec, path, {"t_start", "dt", "steps"})
-    t_start = _number(spec, path, "t_start")
-    dt = _number(spec, path, "dt")
-    steps = _integer(spec, path, "steps")
+    t_start = _number(spec["t_start"], f"{path}.t_start")
+    dt = _number(spec["dt"], f"{path}.dt")
+    steps = _integer(spec["steps"], f"{path}.steps")
     if t_start < dt:
         raise ConfigError(f"{path}.t_start", "t_start must be >= dt (grids exclude 0)")
     try:
@@ -318,19 +286,19 @@ def load_config(path: str) -> RunConfig:
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     _check_keys(raw, "", set(), _TOP_KEYS)
 
-    process = build_process(raw["process"]) if "process" in raw else None
-    initial = build_initial(raw["initial"], base_dir=base_dir) if "initial" in raw else None
+    process = _build(raw["process"], "process", "kind", PROCESSES) if "process" in raw else None
+    initial = _build(raw["initial"], "initial", "kind", INITIALS, base_dir) if "initial" in raw else None
     target = build_target(raw["target"], base_dir=base_dir) if "target" in raw else None
     grid = build_grid(raw["grid"]) if "grid" in raw else None
 
     particles = None
     if "particles" in raw:
-        particles = _integer(raw, "", "particles")
+        particles = _integer(raw["particles"], "particles")
         if particles < 2:
             raise ConfigError("particles", "need at least 2 particles")
     seed = None
     if "seed" in raw:
-        seed = _integer(raw, "", "seed")
+        seed = _integer(raw["seed"], "seed")
         if not 0 <= seed < 2**64:
             raise ConfigError("seed", "seed must be a 64-bit unsigned integer")
 
@@ -344,10 +312,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         v = raw["verify"]
         _check_keys(v, "verify", {"boundary_csv", "samples", "seed", "tolerance"})
         verify = {
-            "boundary_csv": _string(v, "verify", "boundary_csv"),
-            "samples": _integer(v, "verify", "samples"),
-            "seed": _integer(v, "verify", "seed"),
-            "tolerance": _number(v, "verify", "tolerance"),
+            "boundary_csv": _string(v["boundary_csv"], "verify.boundary_csv"),
+            "samples": _integer(v["samples"], "verify.samples"),
+            "seed": _integer(v["seed"], "verify.seed"),
+            "tolerance": _number(v["tolerance"], "verify.tolerance"),
             "base_dir": base_dir,
         }
         if verify["samples"] < 1:
@@ -366,12 +334,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             _check_keys(side, spath, {"process", "initial", "target"})
             sides.append(
                 (
-                    build_process(side["process"], f"{spath}.process"),
-                    build_initial(side["initial"], f"{spath}.initial", base_dir),
+                    _build(side["process"], f"{spath}.process", "kind", PROCESSES),
+                    _build(side["initial"], f"{spath}.initial", "kind", INITIALS, base_dir),
                     build_target(side["target"], f"{spath}.target", base_dir),
                 )
             )
-        compare = (sides[0], sides[1], _number(c, "compare", "slack"))
+        compare = (sides[0], sides[1], _number(c["slack"], "compare.slack"))
 
     return RunConfig(
         process=process,

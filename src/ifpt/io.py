@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid
+from .boundary import BoundaryEstimate, TimeGrid
 from .verify import FptSample
 
 
@@ -35,12 +35,6 @@ def parse_float(s: str) -> float:
         return float(s)
     except ValueError as exc:
         raise CsvFormatError(f"bad float literal {s!r}") from exc
-
-
-def curve_csv_lines(curve: BoundaryCurve):
-    yield "t,b"
-    for t, b in zip(curve.grid.points, curve.values):
-        yield f"{format_float(t)},{format_float(b)}"
 
 
 def estimate_csv_lines(est: BoundaryEstimate):

@@ -440,17 +440,9 @@ class Power:
         return self.coeff * np.asarray(x, dtype=float) ** self.p
 
 
-COEFFICIENTS = {
-    "constant": Constant,
-    "linear": Linear,
-    "ou": OU,
-    "bessel_drift": BesselDrift,
-    "power": Power,
-}
-
-
 # ---------------------------------------------------------------------------
-# Process models
+# Process models.  Each model's ``step(x, dt, keys, diag)`` returns the
+# positions x advanced by dt, drawing through ``keys`` (one entry per id).
 
 
 @dataclass(frozen=True)
@@ -463,6 +455,12 @@ class BrownianDrift:
             raise ValueError("vol must be > 0")
 
     state_bounds = (-math.inf, math.inf)
+
+    def step(self, x: np.ndarray, dt: float, keys: StreamKeys, diag: Diagnostics | None) -> np.ndarray:
+        z = keys.normals(slot=0)
+        z *= self.vol * math.sqrt(dt)
+        z += x + self.mu * dt
+        return z
 
 
 @dataclass(frozen=True)
@@ -521,6 +519,25 @@ class Levy:
 
         return ppf
 
+    def step(self, x: np.ndarray, dt: float, keys: StreamKeys, diag: Diagnostics | None) -> np.ndarray:
+        out = x + self.drift * dt
+        if self.gauss_std > 0:
+            z = keys.normals(slot=0)
+            z *= self.gauss_std * math.sqrt(dt)
+            out += z
+        if self.jump_rate > 0:
+            jumping, counts = poisson_jumps(self.jump_rate * dt, keys.uniforms(slot=1))
+            # a particle's j-th jump size is keyed (slot 2, row j, id): it does
+            # not depend on the alive set or on the other particles' counts
+            j = 0
+            while len(jumping):
+                u = replace(keys, ids=keys.ids[jumping]).uniforms(slot=2, row=j)
+                out[jumping] += self._tail_ppf(u)
+                j += 1
+                more = counts > j
+                jumping, counts = jumping[more], counts[more]
+        return out
+
 
 @dataclass(frozen=True)
 class IntervalDiffusion:
@@ -554,6 +571,32 @@ class IntervalDiffusion:
     def state_bounds(self):
         return (self.L, self.R)
 
+    def step(self, x: np.ndarray, dt: float, keys: StreamKeys, diag: Diagnostics | None) -> np.ndarray:
+        m = self.dt_substeps
+        h = dt / m
+        sqh = math.sqrt(h)
+        z = keys.normal_block(m, slot=0)
+        reflect = self.lower_boundary_behavior == "reflecting"
+        for j in range(m):
+            prop = x + np.asarray(self.beta(x), dtype=float) * h
+            prop += np.asarray(self.sigma(x), dtype=float) * sqh * z[j]
+            if math.isfinite(self.L):
+                if reflect:
+                    prop = self.L + np.abs(prop - self.L)
+                else:
+                    low = prop <= self.L
+                    if low.any():
+                        prop[low] = x[low]
+                        if diag is not None:
+                            diag.lower_rejections += int(low.sum())
+            high = prop >= self.R
+            if high.any():
+                prop[high] = x[high]
+                if diag is not None:
+                    diag.upper_rejections += int(high.sum())
+            x = prop
+        return x
+
 
 def _probe_grid(L: float, R: float, n: int = 129) -> np.ndarray:
     lo = L if math.isfinite(L) else (min(R, 0.0) - 10.0 if math.isfinite(R) else -10.0)
@@ -570,14 +613,6 @@ class Diagnostics:
     lower_rejections: int = 0
     tie_shortfall: int = 0
     tie_events: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "upper_rejections": self.upper_rejections,
-            "lower_rejections": self.lower_rejections,
-            "tie_shortfall": self.tie_shortfall,
-            "tie_events": self.tie_events,
-        }
 
 
 def check_positions(model, positions: np.ndarray, where: str = "") -> None:
@@ -601,7 +636,7 @@ def step_increments(
     stream_keys: StreamKeys,
     diag: Diagnostics | None = None,
 ) -> np.ndarray:
-    """Advance positions by one increment of length dt.
+    """Advance positions by one increment of length dt with ``model.step``.
 
     Pure in (model, positions, dt, stream_keys): every draw is keyed by
     particle id, so the result is independent of thread count and of which
@@ -611,16 +646,7 @@ def step_increments(
         raise ValueError("dt must be > 0")
     positions = np.asarray(positions, dtype=float)
     check_positions(model, positions)
-    if isinstance(model, BrownianDrift):
-        z = stream_keys.normals(slot=0)
-        z *= model.vol * math.sqrt(dt)
-        z += positions + model.mu * dt
-        return z
-    if isinstance(model, Levy):
-        return _step_levy(model, positions, dt, stream_keys)
-    if isinstance(model, IntervalDiffusion):
-        return _step_diffusion(model, positions, dt, stream_keys, diag)
-    raise TypeError(f"unknown process model {type(model).__name__}")
+    return model.step(positions, dt, stream_keys, diag)
 
 
 @lru_cache(maxsize=64)
@@ -657,59 +683,6 @@ def poisson_jumps(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cdf = _poisson_cdf(lam)
     jumping = np.flatnonzero(u > cdf[0])
     return jumping, np.searchsorted(cdf, u[jumping])
-
-
-def _step_levy(model: Levy, x: np.ndarray, dt: float, keys: StreamKeys) -> np.ndarray:
-    out = x + model.drift * dt
-    if model.gauss_std > 0:
-        z = keys.normals(slot=0)
-        z *= model.gauss_std * math.sqrt(dt)
-        out += z
-    if model.jump_rate > 0:
-        jumping, counts = poisson_jumps(model.jump_rate * dt, keys.uniforms(slot=1))
-        # a particle's j-th jump size is keyed (slot 2, row j, id): it does
-        # not depend on the alive set or on the other particles' counts
-        j = 0
-        while len(jumping):
-            u = replace(keys, ids=keys.ids[jumping]).uniforms(slot=2, row=j)
-            out[jumping] += model._tail_ppf(u)
-            j += 1
-            more = counts > j
-            jumping, counts = jumping[more], counts[more]
-    return out
-
-
-def _step_diffusion(
-    model: IntervalDiffusion,
-    x: np.ndarray,
-    dt: float,
-    keys: StreamKeys,
-    diag: Diagnostics | None,
-) -> np.ndarray:
-    m = model.dt_substeps
-    h = dt / m
-    sqh = math.sqrt(h)
-    z = keys.normal_block(m, slot=0)
-    reflect = model.lower_boundary_behavior == "reflecting"
-    for j in range(m):
-        prop = x + np.asarray(model.beta(x), dtype=float) * h
-        prop += np.asarray(model.sigma(x), dtype=float) * sqh * z[j]
-        if math.isfinite(model.L):
-            if reflect:
-                prop = model.L + np.abs(prop - model.L)
-            else:
-                low = prop <= model.L
-                if low.any():
-                    prop[low] = x[low]
-                    if diag is not None:
-                        diag.lower_rejections += int(low.sum())
-        high = prop >= model.R
-        if high.any():
-            prop[high] = x[high]
-            if diag is not None:
-                diag.upper_rejections += int(high.sum())
-        x = prop
-    return x
 
 
 def scale_transform(model: IntervalDiffusion, x: float, c: float) -> float:

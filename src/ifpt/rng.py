@@ -42,22 +42,26 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def stream_key(seed: int, *path: int) -> np.ndarray:
-    """Two-word Philox key derived from a seed and an integer path."""
+def derive_seed(seed: int, *path: int) -> int:
+    """64-bit hash of a seed and an integer path.
+
+    It hands independent seeds to sub-runs and keys every step draw.
+    """
     h = _mix64(seed & _MASK)
     for p in path:
         h = _mix64((h + _GOLDEN) ^ _mix64(int(p) & _MASK))
+    return h
+
+
+def stream_key(seed: int, *path: int) -> np.ndarray:
+    """Two-word Philox key derived from a seed and an integer path."""
+    h = derive_seed(seed, *path)
     return np.array([h, _mix64(h ^ _GOLDEN)], dtype=np.uint64)
 
 
 def generator(seed: int, *path: int) -> np.random.Generator:
     """Independent generator keyed by (seed, path)."""
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
-
-
-def derive_seed(seed: int, *path: int) -> int:
-    """64-bit sub-seed, used to hand independent seeds to sub-runs."""
-    return int(stream_key(seed, *path)[0])
 
 
 def keyed_uniforms(key: int, ids: np.ndarray) -> np.ndarray:
@@ -105,7 +109,7 @@ class StreamKeys:
     n_total: int
 
     def _key(self, slot: int, row: int) -> int:
-        return int(stream_key(self.seed, STEP_LABEL, self.step_index, slot, row)[0])
+        return derive_seed(self.seed, STEP_LABEL, self.step_index, slot, row)
 
     def uniforms(self, slot: int = 0, row: int = 0) -> np.ndarray:
         return keyed_uniforms(self._key(slot, row), self.ids)

@@ -42,7 +42,42 @@ class TargetDistribution:
         raise NotImplementedError
 
     def validate(self) -> list[str]:
-        return _validate(self)
+        """Problems that keep this from being the law of some xi > 0; empty when valid."""
+        problems = []
+        ts, ms = np.array(self.atoms(), dtype=float).reshape(-1, 2).T
+        # a bad parameter (weibull shape < 0) makes the probes divide by zero
+        with np.errstate(all="ignore"):
+            s0 = float(np.asarray(self.survival(0.0)))
+            horizon = self.t_sup if math.isfinite(self.t_sup) else 50.0
+            probe = np.linspace(0.0, horizon * 1.1 + 1e-9, 257)
+            sv = np.asarray(self.survival(probe), dtype=float)
+            # one vectorized pass: an empirical target has an atom per distinct sample
+            jumps = np.asarray(self.survival_left(ts) - self.survival(ts), dtype=float)
+        # negated comparisons, so that NaN survival values are problems too
+        if not abs(s0 - 1.0) <= 1e-12:
+            problems.append(f"survival at 0 is {s0!r}, xi > 0 requires 1")
+        if np.any(np.diff(sv) > 1e-12):
+            k = int(np.argmax(np.diff(sv)))
+            problems.append(f"survival increases near t={probe[k + 1]!r}")
+        if not np.all((sv >= -1e-12) & (sv <= 1 + 1e-12)):
+            problems.append("survival leaves [0, 1]")
+        for i in np.flatnonzero((ts <= 0) | (np.abs(jumps - ms) > 1e-12)):
+            t, m, jump = float(ts[i]), float(ms[i]), float(jumps[i])
+            if t <= 0:
+                problems.append(f"atom at t={t!r} violates xi > 0 required")
+            else:
+                problems.append(f"atom at t={t!r} has mass {m!r} but jump {jump!r}")
+        if isinstance(self, Mixture):
+            total = sum(w for w, _ in self.components)
+            if abs(total - 1.0) > 1e-12:
+                problems.append(f"weights sum {total!r}")
+            for _, comp in self.components:
+                problems.extend(comp.validate())
+        if isinstance(self, EmpiricalTarget) and self.samples[0] <= 0:
+            problems.append("xi > 0 required: empirical sample <= 0")
+        if isinstance(self, PointMass) and self.t0 <= 0:
+            problems.append("xi > 0 required: point mass at t <= 0")
+        return problems
 
 
 @dataclass(frozen=True)
@@ -220,56 +255,8 @@ class EmpiricalTarget(TargetDistribution):
         return self.samples[rng.integers(0, len(self.samples), size=n)]
 
 
-def survival(target: TargetDistribution, t):
-    """P(xi > t); exact for analytic kinds."""
-    return target.survival(t)
-
-
-def sup_support_time(target: TargetDistribution) -> float:
-    """sup of the support of xi; +inf for the unbounded built-ins."""
-    return target.t_sup
-
-
 def sample(target: TargetDistribution, n: int, seed: int) -> np.ndarray:
     """n deterministic draws; +inf encodes the defective (never) mass."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return target.sample(n, seed)
-
-
-def _validate(target: TargetDistribution) -> list[str]:
-    problems = []
-    s0 = float(np.asarray(target.survival(0.0)))
-    if abs(s0 - 1.0) > 1e-12:
-        problems.append(f"survival at 0 is {s0!r}, xi > 0 requires 1")
-    horizon = target.t_sup if math.isfinite(target.t_sup) else 50.0
-    probe = np.linspace(0.0, horizon * 1.1 + 1e-9, 257)
-    sv = np.asarray(target.survival(probe), dtype=float)
-    if np.any(np.diff(sv) > 1e-12):
-        k = int(np.argmax(np.diff(sv)))
-        problems.append(f"survival increases near t={probe[k + 1]!r}")
-    if np.any(sv < -1e-12) or np.any(sv > 1 + 1e-12):
-        problems.append("survival leaves [0, 1]")
-    for t, m in target.atoms():
-        if t <= 0:
-            problems.append(f"atom at t={t!r} violates xi > 0 required")
-            continue
-        jump = float(np.asarray(target.survival_left(t) - target.survival(t)))
-        if abs(jump - m) > 1e-12:
-            problems.append(f"atom at t={t!r} has mass {m!r} but jump {jump!r}")
-    if isinstance(target, Mixture):
-        total = sum(w for w, _ in target.components)
-        if abs(total - 1.0) > 1e-12:
-            problems.append(f"weights sum {total!r}")
-        for _, comp in target.components:
-            problems.extend(comp.validate())
-    if isinstance(target, EmpiricalTarget) and target.samples[0] <= 0:
-        problems.append("xi > 0 required: empirical sample <= 0")
-    if isinstance(target, PointMass) and target.t0 <= 0:
-        problems.append("xi > 0 required: point mass at t <= 0")
-    return problems
-
-
-def validate(target: TargetDistribution) -> list[str]:
-    """Empty list when the target is a valid law of some xi > 0."""
-    return _validate(target)

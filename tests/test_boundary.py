@@ -10,7 +10,6 @@ from ifpt.boundary import (
     TimeGrid,
     _raster_rows,
     epigraph_hausdorff,
-    evaluate,
     restrict_after,
     shift_up,
 )
@@ -58,20 +57,20 @@ class TestTimeGrid:
 class TestEvaluate:
     def test_lookup_on_grid(self):
         c = curve([1.0], [0.5])
-        assert evaluate(c, 1.0) == 0.5
+        assert c(1.0) == 0.5
 
     def test_off_grid_is_fill(self):
         c = curve([1.0], [0.5])
-        assert evaluate(c, 0.7) == INF
+        assert c(0.7) == INF
 
     def test_degenerate_all_minus_inf(self):
         c = curve([0.5, 1.0], [-INF, -INF])
-        assert evaluate(c, 0.5) == -INF
-        assert evaluate(c, 1.0) == -INF
+        assert c(0.5) == -INF
+        assert c(1.0) == -INF
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            evaluate(curve([1.0], [0.0]), -0.1)
+            curve([1.0], [0.0])(-0.1)
 
 
 class TestRestrictAfter:
@@ -215,7 +214,7 @@ class TestBoundaryCurveInvariants:
     def test_eval_off_grid_dominates_neighbors(self):
         # lower semicontinuity: the fill is the domain maximum
         c = curve([0.5, 1.0], [0.2, 0.4])
-        mid = evaluate(c, 0.75)
+        mid = c(0.75)
         assert mid >= max(c.values)
 
 

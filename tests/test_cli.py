@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ CONFIG_OU = {
     "particles": 1500,
     "seed": 9,
 }
+
+
+def mixture_of_exponentials(*weights):
+    return {
+        "kind": "mixture",
+        "components": [{"weight": w, "target": {"kind": "exponential", "rate": 1.0 + i}} for i, w in enumerate(weights)],
+    }
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -131,6 +139,25 @@ class TestCalibrateCommand:
         rc = cli.main(["calibrate", "-c", str(path), "-o", str(tmp_path)])
         assert rc == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target, path, problem",
+        [
+            # P(xi = 0) = 0.4, which calibrated and exited 0 when unchecked
+            (mixture_of_exponentials(0.3, 0.3), "target", "survival at 0 is 0.6"),
+            (mixture_of_exponentials(0.6, 0.6), "target", "survival at 0 is 1.2"),
+            ({"kind": "weibull", "shape": -1.0, "scale": 1.0}, "target", "survival at 0 is 0.0"),
+            ({"kind": "mixture", "components": []}, "target.components", "nonempty list"),
+            ({"kind": "exponential", "rate": -1.0}, "target", "survival increases"),
+        ],
+    )
+    def test_invalid_target_law_is_config_error(self, tmp_path, capsys, target, path, problem):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, _ = run_calibrate(tmp_path, dict(CONFIG_A, target=target))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and problem in err
 
     def test_state_space_violation_is_runtime_error(self, tmp_path, capsys):
         cfg = dict(
@@ -352,6 +379,12 @@ class TestFileBackedDistributions:
         rc, _ = run_calibrate(tmp_path, cfg)
         assert rc == 2
         assert "nope.txt" in capsys.readouterr().err
+
+    def test_malformed_initial_sample_file_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "x0.txt").write_text("abc\n")
+        rc, _ = run_calibrate(tmp_path, dict(CONFIG_A, initial={"kind": "empirical", "path": "x0.txt"}))
+        assert rc == 2
+        assert "config error: initial: " in capsys.readouterr().err
 
 
 def test_verify_writes_fpt_file(tmp_path):

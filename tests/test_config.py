@@ -1,8 +1,11 @@
+import json
 import math
+import pathlib
+import re
 
 import pytest
 
-from ifpt.config import ConfigError, parse_config
+from ifpt.config import COEFFICIENTS, INITIALS, MEASURES, PROCESSES, TARGETS, ConfigError, parse_config
 from ifpt.processes import GammaSubordinatorMeasure, IntervalDiffusion, Levy, OneSidedStable
 from ifpt.targets import Mixture
 
@@ -148,3 +151,113 @@ def test_compare_section_shape():
     )
     left, right, slack = cfg.compare
     assert slack == 0.0 and len(left) == 3 and len(right) == 3
+
+
+# One minimal spec per table entry, keyed by (table, kind); each is read at
+# the key path given by its table's entry in PLACES
+MINIMAL = {
+    ("target", "exponential"): {"kind": "exponential", "rate": 1.0},
+    ("target", "weibull"): {"kind": "weibull", "shape": 1.5, "scale": 2.0},
+    ("target", "levy_hitting"): {"kind": "levy_hitting", "c": 1.0},
+    ("target", "inverse_gaussian_hitting"): {"kind": "inverse_gaussian_hitting", "c": 1.0, "gamma": 0.5},
+    ("target", "point_mass"): {"kind": "point_mass", "t0": 0.5},
+    ("target", "mixture"): {
+        "kind": "mixture",
+        "components": [{"weight": 1.0, "target": {"kind": "exponential", "rate": 1.0}}],
+    },
+    ("target", "empirical"): {"kind": "empirical", "path": "samples.txt"},
+    ("initial", "point"): {"kind": "point", "x": 0.0},
+    ("initial", "uniform"): {"kind": "uniform", "a": 0.0, "b": 1.0},
+    ("initial", "normal"): {"kind": "normal", "mean": 0.0, "std": 1.0},
+    ("initial", "empirical"): {"kind": "empirical", "path": "samples.txt"},
+    ("process", "brownian"): {"kind": "brownian", "mu": 0.0, "vol": 1.0},
+    ("process", "levy"): {"kind": "levy", "a": 0.0, "sigma2": 1.0, "measure": []},
+    ("process", "diffusion"): {
+        "kind": "diffusion",
+        "beta": {"name": "ou", "theta": 1.0},
+        "sigma": {"name": "constant", "value": 1.0},
+    },
+    ("measure", "atoms"): {"type": "atoms", "atoms": [[1.0, 2.0]]},
+    ("measure", "stable"): {"type": "stable", "side": "+", "alpha": 0.5, "intensity": 1.0},
+    ("measure", "gamma"): {"type": "gamma", "side": "-", "shape": 1.0, "rate": 2.0},
+    ("coefficient", "constant"): {"name": "constant", "value": 1.0},
+    ("coefficient", "linear"): {"name": "linear", "a": 0.0, "b": 1.0},
+    ("coefficient", "ou"): {"name": "ou", "theta": 1.0},
+    ("coefficient", "bessel_drift"): {"name": "bessel_drift", "delta": 3.0},
+    ("coefficient", "power"): {"name": "power", "p": 2.0, "coeff": 1.0},
+}
+
+# table -> (the table, the key path of a spec, the document holding the
+# spec, the object built from it)
+PLACES = {
+    "target": (TARGETS, "target", lambda spec: {"target": spec}, lambda cfg: cfg.target),
+    "initial": (INITIALS, "initial", lambda spec: {"initial": spec}, lambda cfg: cfg.initial),
+    "process": (PROCESSES, "process", lambda spec: {"process": spec}, lambda cfg: cfg.process),
+    "measure": (
+        MEASURES,
+        "process.measure[0]",
+        lambda spec: {"process": {"kind": "levy", "a": 0.0, "sigma2": 0.0, "measure": [spec]}},
+        lambda cfg: cfg.process.triple.levy_measure.components[0],
+    ),
+    "coefficient": (
+        COEFFICIENTS,
+        "process.beta",
+        lambda spec: {"process": {"kind": "diffusion", "beta": spec, "sigma": {"name": "constant", "value": 1.0}}},
+        lambda cfg: cfg.process.beta,
+    ),
+}
+
+
+def test_every_table_entry_has_a_minimal_spec():
+    assert set(MINIMAL) == {(name, kind) for name, place in PLACES.items() for kind in place[0]}
+
+
+def _parse_at(table_name, spec, tmp_path):
+    (tmp_path / "samples.txt").write_text("0.5\n1.0\n1.5\n")
+    return parse_config(PLACES[table_name][2](spec), base_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("table_name, kind", sorted(MINIMAL))
+def test_minimal_spec_builds(table_name, kind, tmp_path):
+    table, _, _, pick = PLACES[table_name]
+    built = pick(_parse_at(table_name, MINIMAL[table_name, kind], tmp_path))
+    make = table[kind][0]
+    # the levy entry's constructor is a function that returns a Levy
+    assert isinstance(built, make if isinstance(make, type) else Levy)
+
+
+@pytest.mark.parametrize(
+    "table_name, kind, key",
+    [(t, k, key) for (t, k) in sorted(MINIMAL) for key in PLACES[t][0][k][1]],
+)
+def test_missing_required_key_named_at_its_path(table_name, kind, key, tmp_path):
+    spec = {k: v for k, v in MINIMAL[table_name, kind].items() if k != key}
+    with pytest.raises(ConfigError, match=f"missing key '{key}'") as err:
+        _parse_at(table_name, spec, tmp_path)
+    assert err.value.path == PLACES[table_name][1]
+
+
+@pytest.mark.parametrize("table_name, kind", sorted(MINIMAL))
+def test_extra_key_rejected_at_its_path(table_name, kind, tmp_path):
+    spec = dict(MINIMAL[table_name, kind], bogus=1)
+    with pytest.raises(ConfigError, match="unknown key 'bogus'") as err:
+        _parse_at(table_name, spec, tmp_path)
+    assert err.value.path == PLACES[table_name][1]
+
+
+def _readme_json_documents():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    for block in re.findall(r"```json\n(.*?)```", readme, re.S):
+        for doc in re.split(r"\n\s*\n", block.strip()):
+            yield json.loads(doc)
+
+
+def test_readme_specs_parse():
+    docs = list(_readme_json_documents())
+    processes = [doc for doc in docs if "kind" in doc]
+    assert {p["kind"] for p in processes} == {"levy", "diffusion"}
+    for spec in processes:
+        parse_config({"process": spec})
+    for doc in docs:
+        if "kind" not in doc:
+            parse_config(doc)

@@ -1,7 +1,10 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifpt import io
 from ifpt.boundary import BoundaryCurve, BoundaryEstimate, TimeGrid
@@ -18,11 +21,36 @@ def test_format_float_17_digits_round_trip():
         io.parse_float("nope")
 
 
+@settings(max_examples=500)
+@given(x=st.floats(allow_nan=False))
+def test_parse_inverts_format(x):
+    y = io.parse_float(io.format_float(x))
+    assert np.float64(y).tobytes() == np.float64(x).tobytes()
+
+
+@settings(max_examples=100)
+@given(
+    data=st.data(),
+    times=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=20, unique=True),
+)
+def test_estimate_csv_round_trip_is_exact(data, times):
+    grid = TimeGrid(np.sort(times))
+    values = data.draw(st.lists(st.floats(allow_nan=False), min_size=len(grid), max_size=len(grid)))
+    survival = np.linspace(1.0, 0.0, len(grid))
+    est = BoundaryEstimate(BoundaryCurve(grid, values), survival, survival, particles=2, seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "boundary.csv")
+        io.write_estimate_csv(path, est)
+        ts, bs = io.read_boundary_csv(path)
+    assert ts.tobytes() == grid.points.tobytes()
+    assert bs.tobytes() == est.curve.values.tobytes()
+
+
 def test_curve_csv_round_trip(tmp_path):
     grid = TimeGrid(np.array([0.5, 1.0, 1.5]))
     curve = BoundaryCurve(grid, [math.inf, 0.25, -math.inf])
     path = tmp_path / "curve.csv"
-    path.write_text("\n".join(io.curve_csv_lines(curve)) + "\n")
+    io.write_estimate_csv(path, BoundaryEstimate(curve, [1.0, 0.5, 0.0], [1.0, 0.5, 0.0], particles=2, seed=1))
     ts, bs = io.read_boundary_csv(path)
     assert np.array_equal(ts, grid.points)
     assert bs[0] == math.inf and bs[1] == 0.25 and bs[2] == -math.inf

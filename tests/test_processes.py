@@ -99,7 +99,7 @@ class TestLevyStep:
         part = step_increments(model, np.zeros(4), 0.5, keys_for(n, seed=9, step=3, ids=sub))
         assert np.array_equal(part, full[sub])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 2**64 - 1), step=st.integers(0, 4096), mask=st.lists(st.booleans(), min_size=1, max_size=400))
     def test_subset_step_equals_full_step_restricted(self, seed, step, mask):
         # jump rate about 10 and dt 0.5: many particles take several jumps

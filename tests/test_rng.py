@@ -22,7 +22,7 @@ def id_subsets(draw):
 
 
 class TestKeyedDraws:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         seed=seeds,
         step=st.integers(0, 2**20),
@@ -88,7 +88,7 @@ class TestPoissonCounts:
         p0 = math.exp(-1.0)
         assert list(poisson_counts(1.0, np.array([p0 * 0.999, p0 * 1.001]))) == [0, 1]
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(lam=st.floats(1e-4, 50.0), key=seeds, n=st.integers(0, 2000))
     def test_jump_only_counts_match_the_full_inversion(self, lam, key, n):
         cdf = _poisson_cdf(lam)

@@ -12,9 +12,6 @@ from ifpt.targets import (
     PointMass,
     Weibull,
     sample,
-    sup_support_time,
-    survival,
-    validate,
 )
 
 
@@ -35,17 +32,17 @@ ANALYTIC_KINDS = [
 
 class TestSurvival:
     def test_exponential_at_zero(self):
-        assert survival(Exponential(1.0), 0.0) == 1.0
+        assert Exponential(1.0).survival(0.0) == 1.0
 
     def test_levy_hitting_value(self):
         # closed form 2 Phi(-c/sqrt(t)) checked against an independent CDF
         want = 1.0 - 2.0 * phi_oracle(-1.0)
-        assert survival(LevyHittingLaw(1.0), 1.0) == pytest.approx(want, abs=1e-12)
+        assert LevyHittingLaw(1.0).survival(1.0) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.682689, abs=1e-6)
 
     def test_point_mass(self):
-        assert survival(PointMass(1.0), 0.999) == 1.0
-        assert survival(PointMass(1.0), 1.0) == 0.0
+        assert PointMass(1.0).survival(0.999) == 1.0
+        assert PointMass(1.0).survival(1.0) == 0.0
 
     def test_ig_reduces_to_levy_at_gamma_zero(self):
         ts = np.linspace(0.01, 5, 50)
@@ -104,21 +101,21 @@ class TestSurvival:
 
 class TestSupSupportTime:
     def test_unbounded_kinds(self):
-        assert sup_support_time(Exponential(1.0)) == math.inf
-        assert sup_support_time(Weibull(2.0, 1.0)) == math.inf
-        assert sup_support_time(LevyHittingLaw(1.0)) == math.inf
+        assert Exponential(1.0).t_sup == math.inf
+        assert Weibull(2.0, 1.0).t_sup == math.inf
+        assert LevyHittingLaw(1.0).t_sup == math.inf
 
     def test_point_mass(self):
-        assert sup_support_time(PointMass(2.5)) == 2.5
+        assert PointMass(2.5).t_sup == 2.5
 
     def test_mixture_takes_sup(self):
         mix = Mixture(((0.5, Exponential(1.0)), (0.5, PointMass(0.5))))
-        assert sup_support_time(mix) == math.inf
+        assert mix.t_sup == math.inf
         mix2 = Mixture(((0.5, PointMass(1.0)), (0.5, PointMass(0.5))))
-        assert sup_support_time(mix2) == 1.0
+        assert mix2.t_sup == 1.0
 
     def test_empirical(self):
-        assert sup_support_time(EmpiricalTarget(np.array([0.5, 2.0, 1.0]))) == 2.0
+        assert EmpiricalTarget(np.array([0.5, 2.0, 1.0])).t_sup == 2.0
 
 
 class TestSample:
@@ -178,17 +175,17 @@ class TestAtoms:
 
 class TestValidate:
     def test_ok(self):
-        assert validate(Exponential(1.0)) == []
-        assert validate(Mixture(((0.5, Exponential(1.0)), (0.5, PointMass(0.5))))) == []
+        assert Exponential(1.0).validate() == []
+        assert Mixture(((0.5, Exponential(1.0)), (0.5, PointMass(0.5)))).validate() == []
 
     def test_bad_mixture_weights(self):
         bad = Mixture(((0.6, Exponential(1.0)), (0.6, Exponential(2.0))))
-        assert any("weights sum 1.2" in p for p in validate(bad))
+        assert any("weights sum 1.2" in p for p in bad.validate())
 
     def test_negative_empirical_sample(self):
         bad = EmpiricalTarget(np.array([-1.0, 0.5]))
-        assert any("xi > 0 required" in p for p in validate(bad))
+        assert any("xi > 0 required" in p for p in bad.validate())
 
     def test_atom_consistency_checked(self):
-        assert validate(PointMass(2.0)) == []
-        assert validate(EmpiricalTarget(np.array([0.5, 0.5, 1.5]))) == []
+        assert PointMass(2.0).validate() == []
+        assert EmpiricalTarget(np.array([0.5, 0.5, 1.5])).validate() == []
