@@ -1,10 +1,10 @@
 """Extended-real boundary curves on a time grid.
 
-A curve stores one value per grid point and a single fill value used
-everywhere off the grid.  With the fill equal to the upper end of the state
-space the represented function is lower semicontinuous by construction,
-which is the shape the killing construction produces: finite (or -inf)
-values at grid times, the domain maximum in between.
+A curve stores one value per grid point; everywhere off the grid it takes
+the upper end of its domain.  The represented function is therefore lower
+semicontinuous by construction, which is the shape the killing
+construction produces: finite (or -inf) values at grid times, the domain
+maximum in between.
 """
 
 from __future__ import annotations
@@ -95,11 +95,10 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryCurve:
-    """Grid-indexed extended-real curve with an off-grid fill value."""
+    """Grid-indexed extended-real curve; the upper domain bound off the grid."""
 
     grid: TimeGrid
     values: np.ndarray
-    off_grid_value: float = math.inf
     domain_bounds: tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self):
@@ -118,6 +117,11 @@ class BoundaryCurve:
             raise ValueError("curve values must not be NaN")
         vals.setflags(write=False)
 
+    @property
+    def off_grid_value(self) -> float:
+        """The fill everywhere off the grid: the upper domain bound."""
+        return self.domain_bounds[1]
+
     def __call__(self, t: float) -> float:
         """Curve value at time t; the fill value everywhere off the grid."""
         if t < 0:
@@ -133,7 +137,7 @@ def restrict_after(curve: BoundaryCurve, s: float) -> BoundaryCurve:
     if s < 0:
         raise ValueError("s must be >= 0")
     vals = np.where(curve.grid.points >= s, curve.values, curve.off_grid_value)
-    return BoundaryCurve(curve.grid, vals, curve.off_grid_value, curve.domain_bounds)
+    return BoundaryCurve(curve.grid, vals, curve.domain_bounds)
 
 
 def shift_up(curve: BoundaryCurve, eps: float) -> BoundaryCurve:
@@ -143,7 +147,7 @@ def shift_up(curve: BoundaryCurve, eps: float) -> BoundaryCurve:
     vals = curve.values.copy()
     finite = np.isfinite(vals)
     vals[finite] += eps
-    return BoundaryCurve(curve.grid, vals, curve.off_grid_value, curve.domain_bounds)
+    return BoundaryCurve(curve.grid, vals, curve.domain_bounds)
 
 
 def compactify_space(x) -> np.ndarray:

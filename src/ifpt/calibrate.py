@@ -28,6 +28,10 @@ from .rng import INIT_LABEL, StreamKeys, derive_seed, generator
 from .targets import TargetDistribution
 
 
+# lattice size of the refinement diagnostic's rasterized epigraphs
+HAUSDORFF_RESOLUTION = 128
+
+
 class CalibrationError(ValueError):
     pass
 
@@ -217,7 +221,7 @@ def calibrate(
         values[k] = level
         achieved[k] = len(ens.ids) / n
 
-    curve = BoundaryCurve(grid, values, off_grid_value=hi, domain_bounds=(lo, hi))
+    curve = BoundaryCurve(grid, values, domain_bounds=model.state_bounds)
     diagnostics = asdict(diag)
     if isinstance(model, Levy):
         # small-jump budget: in discard mode the per-step martingale error
@@ -244,7 +248,6 @@ def refine_and_diagnose(
     base_grid: TimeGrid,
     levels: int,
     opts: CalibrationOptions,
-    resolution: int = 128,
 ) -> tuple[list[BoundaryEstimate], list[float]]:
     """Calibrate on dyadic refinements of the grid with independent sub-seeds.
 
@@ -269,6 +272,6 @@ def refine_and_diagnose(
         estimates.append(calibrate(model, initial, target, level_opts))
         if j:
             distances.append(
-                epigraph_hausdorff(estimates[-2].curve, estimates[-1].curve, resolution)
+                epigraph_hausdorff(estimates[-2].curve, estimates[-1].curve, HAUSDORFF_RESOLUTION)
             )
     return estimates, distances

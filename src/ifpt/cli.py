@@ -22,7 +22,7 @@ import numpy as np
 from . import io
 from .boundary import BoundaryCurve, TimeGrid
 from .calibrate import CalibrationOptions, calibrate
-from .config import ConfigError, RunConfig, load_config, require
+from .config import ConfigError, RunConfig, load_config, parse_seed, require
 from .orders import check_hazard_order
 from .processes import Levy, StateSpaceError, classify_levy
 from .verify import compare_boundaries, dkw_critical_value, forward_fpt, ks_statistic
@@ -36,6 +36,13 @@ EXIT_RUNTIME = 3
 DKW_ALPHA = 0.05
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        return parse_seed(int(text), "")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ifpt", description="inverse first-passage time solver")
     sub = p.add_subparsers(dest="command", required=True)
@@ -43,7 +50,7 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("-c", "--config", required=True, help="JSON run configuration")
         sp.add_argument("-o", "--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        sp.add_argument("--seed", type=_seed_arg, default=None, help="override the config seed")
         sp.add_argument(
             "--threads", type=int, default=1, help="accepted and echoed in the report; the solver runs on one thread"
         )
@@ -103,11 +110,10 @@ def cmd_verify(args) -> int:
     grid = config.grid
     if len(ts) != len(grid) or not grid.matches(TimeGrid(ts)):
         raise io.CsvFormatError("boundary CSV grid does not match the config grid")
-    lo, hi = config.process.state_bounds
-    curve = BoundaryCurve(grid, bs, off_grid_value=hi, domain_bounds=(lo, hi))
+    curve = BoundaryCurve(grid, bs, domain_bounds=config.process.state_bounds)
     seed = args.seed if args.seed is not None else v["seed"]
     sample = forward_fpt(config.process, config.initial, curve, v["samples"], seed)
-    ks, witness = ks_statistic(sample, config.target, with_witness=True)
+    ks, witness = ks_statistic(sample, config.target)
     passed = ks <= v["tolerance"]
     dkw = dkw_critical_value(v["samples"], DKW_ALPHA)
     report = {

@@ -76,8 +76,9 @@ def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = f
 
 
 def _number(v, path: str, base_dir: str = ".") -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(path, "expected a number")
+    # json reads the non-standard literals NaN and Infinity as floats
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(path, "expected a finite number")
     return float(v)
 
 
@@ -85,6 +86,14 @@ def _integer(v, path: str, base_dir: str = ".") -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(path, "expected an integer")
     return v
+
+
+def parse_seed(v, path: str) -> int:
+    """A seed: an integer in [0, 2**64)."""
+    seed = _integer(v, path)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(path, "seed must be a 64-bit unsigned integer")
+    return seed
 
 
 def _string(v, path: str, base_dir: str = ".") -> str:
@@ -101,7 +110,7 @@ def _extended(v, path: str, base_dir: str = ".") -> float | None:
         return math.inf
     if v == "-inf":
         return -math.inf
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v):
         raise ConfigError(path, "expected a number, 'inf', '-inf' or null")
     return float(v)
 
@@ -296,16 +305,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         particles = _integer(raw["particles"], "particles")
         if particles < 2:
             raise ConfigError("particles", "need at least 2 particles")
-    seed = None
-    if "seed" in raw:
-        seed = _integer(raw["seed"], "seed")
-        if not 0 <= seed < 2**64:
-            raise ConfigError("seed", "seed must be a 64-bit unsigned integer")
+    seed = parse_seed(raw["seed"], "seed") if "seed" in raw else None
 
     output = {}
     if "output" in raw:
         _check_keys(raw["output"], "output", set(), {"boundary_csv", "report", "fpt"})
-        output = dict(raw["output"])
+        output = {key: _string(v, f"output.{key}") for key, v in raw["output"].items()}
 
     verify = None
     if "verify" in raw:
@@ -314,7 +319,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         verify = {
             "boundary_csv": _string(v["boundary_csv"], "verify.boundary_csv"),
             "samples": _integer(v["samples"], "verify.samples"),
-            "seed": _integer(v["seed"], "verify.seed"),
+            "seed": parse_seed(v["seed"], "verify.seed"),
             "tolerance": _number(v["tolerance"], "verify.tolerance"),
             "base_dir": base_dir,
         }
@@ -339,7 +344,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                     build_target(side["target"], f"{spath}.target", base_dir),
                 )
             )
-        compare = (sides[0], sides[1], _number(c["slack"], "compare.slack"))
+        slack = _number(c["slack"], "compare.slack")
+        if slack < 0:
+            raise ConfigError("compare.slack", "slack must be >= 0")
+        compare = (sides[0], sides[1], slack)
 
     return RunConfig(
         process=process,

@@ -29,6 +29,8 @@ from .rng import StreamKeys
 
 QUAD_REL_TOL = 1e-8
 SCALE_ABS_TOL = 1e-10
+# points of the log-spaced table that inverts a density component's jump tail
+TAIL_TABLE_SIZE = 4096
 
 
 class StateSpaceError(ValueError):
@@ -72,25 +74,18 @@ class FiniteAtoms:
             self, "atoms", tuple((float(x), float(r)) for x, r in self.atoms)
         )
         for x, r in self.atoms:
+            if not (math.isfinite(x) and math.isfinite(r)):
+                raise ValueError("atoms must be finite")
             if x == 0.0:
                 raise ValueError("jump size 0 is not allowed")
             if r <= 0:
                 raise ValueError("atom rates must be positive")
+        object.__setattr__(self, "has_pos", any(x > 0 for x, _ in self.atoms))
+        object.__setattr__(self, "has_neg", any(x < 0 for x, _ in self.atoms))
 
     touches_zero = False
     infinite_mass = False
-
-    def total_mass(self) -> float:
-        return sum(r for _, r in self.atoms)
-
-    def abs1_moment(self) -> float:
-        return sum(min(1.0, abs(x)) * r for x, r in self.atoms)
-
-    def has_pos(self) -> bool:
-        return any(x > 0 for x, _ in self.atoms)
-
-    def has_neg(self) -> bool:
-        return any(x < 0 for x, _ in self.atoms)
+    unbounded_variation = False
 
     def tail_rate(self, eta: float) -> float:
         return sum(r for x, r in self.atoms if abs(x) >= eta)
@@ -125,35 +120,24 @@ class FiniteAtoms:
 class _DensityComponent:
     """Shared machinery for one-sided absolutely continuous components.
 
-    Subclasses define the density of jump magnitudes on (0, inf) and the
-    analytic pieces; ``side`` mirrors the support onto the negative axis.
+    Subclasses define the density of jump magnitudes on (0, inf), its tail
+    rate ``tail_rate(y)`` (the rate of magnitudes >= y) and the analytic
+    pieces; ``side`` mirrors the support onto the negative axis.
     """
 
     touches_zero = True
     infinite_mass = True
+    unbounded_variation = False
+
+    def __post_init__(self):
+        if self.side not in ("+", "-"):
+            raise ValueError("side must be '+' or '-'")
+        object.__setattr__(self, "has_pos", self.side == "+")
+        object.__setattr__(self, "has_neg", self.side == "-")
 
     @property
     def sign(self) -> float:
         return 1.0 if self.side == "+" else -1.0
-
-    def _magnitude_density(self, m):
-        raise NotImplementedError
-
-    def _magnitude_tail(self, y: float) -> float:
-        """Rate of magnitudes >= y."""
-        raise NotImplementedError
-
-    def total_mass(self) -> float:
-        return math.inf
-
-    def has_pos(self) -> bool:
-        return self.side == "+"
-
-    def has_neg(self) -> bool:
-        return self.side == "-"
-
-    def tail_rate(self, eta: float) -> float:
-        return self._magnitude_tail(eta)
 
     def mean_trunc(self, eta: float) -> float:
         if eta >= 1.0:
@@ -171,14 +155,14 @@ class _DensityComponent:
         im += _quad(lambda m: -math.sin(theta * m) * self._magnitude_density(m), 1.0, np.inf)
         return complex(re, self.sign * im)
 
-    def tail_ppf(self, eta: float, table_size: int = 4096):
+    def tail_ppf(self, eta: float):
         """Inverse CDF of the normalized magnitude tail, via a log-spaced table."""
-        rate = self._magnitude_tail(eta)
+        rate = self.tail_rate(eta)
         hi = eta
-        while self._magnitude_tail(hi) > 1e-13 * rate:
+        while self.tail_rate(hi) > 1e-13 * rate:
             hi *= 2.0
-        ys = np.geomspace(eta, hi, table_size)
-        cdf = 1.0 - np.array([self._magnitude_tail(y) for y in ys]) / rate
+        ys = np.geomspace(eta, hi, TAIL_TABLE_SIZE)
+        cdf = 1.0 - np.array([self.tail_rate(y) for y in ys]) / rate
         cdf[0] = 0.0
         cdf, idx = np.unique(cdf, return_index=True)
         logy = np.log(ys)[idx]
@@ -200,17 +184,18 @@ class OneSidedStable(_DensityComponent):
     tempering: float = 0.0
 
     def __post_init__(self):
-        if self.side not in ("+", "-"):
-            raise ValueError("side must be '+' or '-'")
+        super().__post_init__()
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must be in (0, 2)")
         if self.intensity <= 0 or self.tempering < 0:
             raise ValueError("need intensity > 0 and tempering >= 0")
+        # integral of min(1, |x|) is infinite iff alpha >= 1, tempered or not
+        object.__setattr__(self, "unbounded_variation", self.alpha >= 1.0)
 
     def _magnitude_density(self, m):
         return self.intensity * m ** (-1.0 - self.alpha) * math.exp(-self.tempering * m)
 
-    def _magnitude_tail(self, y: float) -> float:
+    def tail_rate(self, y: float) -> float:
         c, a, lam = self.intensity, self.alpha, self.tempering
         if lam == 0.0:
             return c * y**-a / a
@@ -233,14 +218,7 @@ class OneSidedStable(_DensityComponent):
             return c * eta ** (2.0 - a) / (2.0 - a)
         return c * lam ** (a - 2.0) * gamma_fn(2.0 - a) * gammainc(2.0 - a, lam * eta)
 
-    def abs1_moment(self) -> float:
-        if self.alpha >= 1.0:
-            return math.inf
-        return self._magnitude_mean(0.0, 1.0) if self.tempering else (
-            self.intensity / (1.0 - self.alpha)
-        )
-
-    def tail_ppf(self, eta: float, table_size: int = 4096):
+    def tail_ppf(self, eta: float):
         if self.tempering == 0.0:
             sign, a = self.sign, self.alpha
 
@@ -248,7 +226,7 @@ class OneSidedStable(_DensityComponent):
                 return sign * eta * (1.0 - u) ** (-1.0 / a)
 
             return ppf
-        return super().tail_ppf(eta, table_size)
+        return super().tail_ppf(eta)
 
 
 @dataclass(frozen=True)
@@ -260,15 +238,14 @@ class GammaSubordinatorMeasure(_DensityComponent):
     rate: float
 
     def __post_init__(self):
-        if self.side not in ("+", "-"):
-            raise ValueError("side must be '+' or '-'")
+        super().__post_init__()
         if self.shape <= 0 or self.rate <= 0:
             raise ValueError("need shape > 0 and rate > 0")
 
     def _magnitude_density(self, m):
         return self.shape * math.exp(-self.rate * m) / m
 
-    def _magnitude_tail(self, y: float) -> float:
+    def tail_rate(self, y: float) -> float:
         return self.shape * float(exp1(self.rate * y))
 
     def _magnitude_mean(self, lo: float, hi: float) -> float:
@@ -277,9 +254,6 @@ class GammaSubordinatorMeasure(_DensityComponent):
     def small_var(self, eta: float) -> float:
         g, r = self.shape, self.rate
         return g * (1.0 - (1.0 + r * eta) * math.exp(-r * eta)) / r**2
-
-    def abs1_moment(self) -> float:
-        return self._magnitude_mean(0.0, 1.0) + self._magnitude_tail(1.0)
 
 
 @dataclass(frozen=True)
@@ -366,10 +340,10 @@ def classify_levy(triple: LevyTriple) -> LevyClassification:
     comps = triple.levy_measure.components
     sigma_pos = triple.sigma2 > 0
     existence = sigma_pos or any(c.infinite_mass for c in comps)
-    unbounded = sigma_pos or any(math.isinf(c.abs1_moment()) for c in comps)
+    unbounded = sigma_pos or any(c.unbounded_variation for c in comps)
     zero_supp = any(c.touches_zero for c in comps)
-    pos_mass = any(c.has_pos() for c in comps)
-    neg_mass = any(c.has_neg() for c in comps)
+    pos_mass = any(c.has_pos for c in comps)
+    neg_mass = any(c.has_neg for c in comps)
     if unbounded or (zero_supp and pos_mass):
         uniq = Uniqueness.FULL_INTERVAL
         descr = "(0, t_xi)"

@@ -18,11 +18,6 @@ from scipy.special import ndtr
 from .rng import SAMPLE_LABEL, derive_seed, generator
 
 
-def norm_cdf(x):
-    """Standard normal CDF, the single shared special-function dependency."""
-    return ndtr(x)
-
-
 class TargetDistribution:
     """Base interface; see the concrete kinds below."""
 
@@ -118,7 +113,7 @@ class LevyHittingLaw(TargetDistribution):
     def survival(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
-            s = 1.0 - 2.0 * norm_cdf(-self.c / np.sqrt(np.maximum(t, 0.0)))
+            s = 1.0 - 2.0 * ndtr(-self.c / np.sqrt(np.maximum(t, 0.0)))
         return np.where(t > 0, s, 1.0)
 
     def sample(self, n, seed):
@@ -141,9 +136,9 @@ class InverseGaussianHitting(TargetDistribution):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             rt = np.sqrt(np.maximum(t, 0.0))
-            cdf = norm_cdf((-self.c - self.gamma * t) / rt) + np.exp(
+            cdf = ndtr((-self.c - self.gamma * t) / rt) + np.exp(
                 -2.0 * self.gamma * self.c
-            ) * norm_cdf((self.gamma * t - self.c) / rt)
+            ) * ndtr((self.gamma * t - self.c) / rt)
         return np.where(t > 0, 1.0 - cdf, 1.0)
 
     def hit_probability(self) -> float:

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from ifpt import cli, io
 from ifpt.boundary import TimeGrid
@@ -44,7 +45,6 @@ from ifpt.targets import (
     InverseGaussianHitting,
     Mixture,
     PointMass,
-    norm_cdf,
 )
 from ifpt.verify import (
     analytic_bm_linear_cdf,
@@ -310,7 +310,7 @@ def test_criterion_11_diffusion_stepper_fidelity():
         x = step_increments(model, x, 1.0 / 512, keys)
     mean, var = math.exp(-1.0), (1.0 - math.exp(-2.0)) / 2.0
     xs = np.sort(x)
-    ks = float(np.max(np.abs(np.arange(1, n + 1) / n - norm_cdf((xs - mean) / math.sqrt(var)))))
+    ks = float(np.max(np.abs(np.arange(1, n + 1) / n - ndtr((xs - mean) / math.sqrt(var)))))
 
     from ifpt.processes import BesselDrift, Linear, Power, scale_transform
 

@@ -17,8 +17,8 @@ from ifpt.boundary import (
 INF = math.inf
 
 
-def curve(points, values, off=INF):
-    return BoundaryCurve(TimeGrid(np.asarray(points, dtype=float)), values, off_grid_value=off)
+def curve(points, values):
+    return BoundaryCurve(TimeGrid(np.asarray(points, dtype=float)), values)
 
 
 class TestTimeGrid:
@@ -209,7 +209,7 @@ class TestBoundaryCurveInvariants:
         g = TimeGrid(np.array([1.0]))
         with pytest.raises(ValueError):
             BoundaryCurve(g, [2.0], domain_bounds=(0.0, 1.0))
-        BoundaryCurve(g, [0.5], off_grid_value=1.0, domain_bounds=(0.0, 1.0))
+        assert BoundaryCurve(g, [0.5], domain_bounds=(0.0, 1.0))(0.5) == 1.0
 
     def test_eval_off_grid_dominates_neighbors(self):
         # lower semicontinuity: the fill is the domain maximum

@@ -159,6 +159,30 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ") and problem in err
 
+    @pytest.mark.parametrize("vol", [math.nan, math.inf])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, vol):
+        # json reads the literals NaN and Infinity; a NaN vol used to reach
+        # the stepper and exit 3
+        rc, _ = run_calibrate(tmp_path, dict(CONFIG_A, process={"kind": "brownian", "mu": 0.0, "vol": vol}))
+        assert rc == 2
+        assert "config error: process.vol: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, None])
+    def test_non_string_output_is_config_error(self, tmp_path, capsys, value):
+        # it used to calibrate, then fail in os.path with a TypeError traceback
+        rc, out = run_calibrate(tmp_path, dict(CONFIG_A, output={"report": value}))
+        assert rc == 2
+        assert "config error: output.report: " in capsys.readouterr().err
+        assert not (out / "boundary.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+    def test_seed_option_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        # --seed -1 used to be reduced mod 2**64 and run as 2**64 - 1
+        with pytest.raises(SystemExit) as exc:
+            run_calibrate(tmp_path, CONFIG_A, extra=("--seed", seed))
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_state_space_violation_is_runtime_error(self, tmp_path, capsys):
         cfg = dict(
             CONFIG_A,
@@ -253,6 +277,12 @@ class TestVerifyCommand:
             assert rc == 2
             assert "verify.tolerance" in capsys.readouterr().err
 
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys):
+        cfg = self._verify_cfg("unused.csv", tolerance=0.1, seed=-1)
+        rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
+        assert rc == 2
+        assert "config error: verify.seed: " in capsys.readouterr().err
+
     def test_nan_step_exits_3(self, tmp_path, capsys):
         # x**0.5 is NaN below 0; a NaN path never compares >= b, so without a
         # check on the step outputs it would count as censored
@@ -321,6 +351,15 @@ class TestCompareCommand:
         rc = cli.main(["compare", "-c", write_config(tmp_path, cfg), "-o", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("slack", [math.nan, -0.1])
+    def test_bad_slack_exits_2(self, tmp_path, capsys, slack):
+        # on the reversed pair a NaN slack used to print "holds" and exit 0,
+        # and a negative one exited 3 after both calibrations
+        cfg = self._cfg(1.0, 2.0, left_x=0.5, right_x=0.0, slack=slack)
+        rc = cli.main(["compare", "-c", write_config(tmp_path, cfg), "-o", str(tmp_path)])
+        assert rc == 2
+        assert "config error: compare.slack: " in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_brownian_triple(self, tmp_path, capsys):
@@ -353,6 +392,22 @@ class TestClassifyCommand:
         rc = cli.main(["classify", "-c", write_config(tmp_path, cfg), "-o", str(tmp_path)])
         assert rc == 0
         assert "not guaranteed" in capsys.readouterr().out
+
+    def test_tempered_stable_without_gaussian_part(self, tmp_path, capsys):
+        # BENCH3's jump measure; classify used to exit 3 computing a moment
+        # of it that the classification never needed
+        cfg = {
+            "process": {
+                "kind": "levy", "a": 0.0, "sigma2": 0.0,
+                "measure": [{"type": "stable", "side": "+", "alpha": 0.5, "intensity": 0.5, "tempering": 1.0}],
+            }
+        }
+        rc = cli.main(["classify", "-c", write_config(tmp_path, cfg), "-o", str(tmp_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "existence: yes" in out and "full interval" in out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert not report["unbounded_variation"] and report["uniqueness"] == "full_interval"
 
     def test_non_levy_exits_2(self, tmp_path):
         cfg = {"process": {"kind": "brownian", "mu": 0.0, "vol": 1.0}}

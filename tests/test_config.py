@@ -55,6 +55,34 @@ def test_seed_range():
         parse_config(dict(BASE, seed=2**64))
 
 
+@pytest.mark.parametrize(
+    "process, path",
+    [
+        ({"kind": "brownian", "mu": math.nan, "vol": 1.0}, "process.mu"),
+        ({"kind": "brownian", "mu": -math.inf, "vol": 1.0}, "process.mu"),
+        (
+            {"kind": "diffusion", "beta": {"name": "constant", "value": 0.0},
+             "sigma": {"name": "constant", "value": 1.0}, "L": math.nan},
+            "process.L",
+        ),
+        (
+            {"kind": "levy", "a": 0.0, "sigma2": 0.0, "measure": [{"type": "atoms", "atoms": [[math.nan, 1.0]]}]},
+            "process.measure[0]",
+        ),
+    ],
+)
+def test_non_finite_numbers_rejected(process, path):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(dict(BASE, process=process))
+    assert exc.value.path == path
+
+
+def test_infinite_bound_accepted():
+    spec = {"kind": "diffusion", "beta": {"name": "constant", "value": 0.0},
+            "sigma": {"name": "constant", "value": 1.0}, "L": -math.inf, "R": math.inf}
+    assert parse_config(dict(BASE, process=spec)).process.state_bounds == (-math.inf, math.inf)
+
+
 def test_particles_floor():
     with pytest.raises(ConfigError, match="particles"):
         parse_config(dict(BASE, particles=1))

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from ifpt.boundary import BoundaryCurve, TimeGrid
 from ifpt.calibrate import CalibrationOptions, PointInitial, calibrate
 from ifpt.processes import BrownianDrift
-from ifpt.targets import Exponential, PointMass, norm_cdf, sample
+from ifpt.targets import Exponential, PointMass, sample
 from ifpt.verify import (
     FptSample,
     GridMismatchError,
@@ -59,7 +60,7 @@ class TestForwardFpt:
         grid = TimeGrid.arithmetic(1 / 512, 1 / 512, 1024)
         s = forward_fpt(BrownianDrift(0, 1), PointInitial(0.0), flat_curve(1.0, grid), 100_000, 3)
         p_hat = float((s.times <= 1.0).mean())
-        corrected = 2.0 * norm_cdf(-(1.0 + 0.5826 * math.sqrt(1 / 512)))
+        corrected = 2.0 * ndtr(-(1.0 + 0.5826 * math.sqrt(1 / 512)))
         assert p_hat == pytest.approx(corrected, abs=0.006)
         assert p_hat < analytic_bm_level_cdf(1.0, 1.0)
 
@@ -85,7 +86,7 @@ class TestKsStatistic:
     def test_all_censored_vs_point_mass(self):
         grid = TimeGrid.arithmetic(1.0, 1.0, 2)
         s = FptSample(times=np.full(100, INF), grid=grid, horizon=2.0, n=100)
-        assert ks_statistic(s, PointMass(1.0)) == 1.0
+        assert ks_statistic(s, PointMass(1.0))[0] == 1.0
 
     def test_snapped_target_sample_within_dkw(self):
         # draws from the target snapped up to the grid: DKW plus one cell
@@ -97,15 +98,14 @@ class TestKsStatistic:
         snapped = np.where(idx < len(grid), grid.points[np.minimum(idx, len(grid) - 1)], INF)
         s = FptSample(times=snapped, grid=grid, horizon=float(grid.points[-1]), n=n)
         cell = float(np.max(np.abs(np.diff(target.survival(grid.points)))))
-        assert ks_statistic(s, target) <= 1.63 / math.sqrt(n) + cell
+        assert ks_statistic(s, target)[0] <= 1.63 / math.sqrt(n) + cell
 
     def test_witness_is_first_time_attaining_the_sup(self):
         # half the paths cross at t = 2, against a point mass at 3: the gap
         # is 0, 1/2, 1/2 at t = 1, 2, 3
         grid = TimeGrid.arithmetic(1.0, 1.0, 3)
         s = FptSample(times=np.repeat([2.0, INF], 50), grid=grid, horizon=3.0, n=100)
-        assert ks_statistic(s, PointMass(3.0), with_witness=True) == (0.5, 2.0)
-        assert ks_statistic(s, PointMass(3.0)) == 0.5
+        assert ks_statistic(s, PointMass(3.0)) == (0.5, 2.0)
 
     def test_empty_sample_rejected(self):
         grid = TimeGrid(np.array([1.0]))
@@ -144,6 +144,15 @@ class TestCompareBoundaries:
         assert not compare_boundaries(a, b, 0.0).holds
         assert compare_boundaries(a, b, 0.1).holds
 
+    def test_nan_or_negative_slack_rejected(self):
+        # a NaN slack makes every margin NaN, which used to read as "holds"
+        grid = TimeGrid(np.array([0.5, 1.0]))
+        a = estimate_from_values([0.3, 0.3], grid)
+        b = estimate_from_values([0.25, 0.25], grid)
+        for slack in (math.nan, -0.1):
+            with pytest.raises(ValueError, match="slack"):
+                compare_boundaries(a, b, slack)
+
     def test_infinite_pairs_compare_equal(self):
         grid = TimeGrid(np.array([0.5, 1.0]))
         a = estimate_from_values([INF, -INF], grid)
@@ -161,7 +170,7 @@ class TestAnalyticOracles:
         assert analytic_bm_level_cdf(1.0, 1.0) == pytest.approx(0.3173105, abs=1e-7)
         assert analytic_bm_level_cdf(1.0, 1e-6) < 1e-12
         assert analytic_bm_level_cdf(1.0, 1e6) == pytest.approx(
-            2 * norm_cdf(-0.001), abs=1e-12
+            2 * ndtr(-0.001), abs=1e-12
         )
 
     def test_linear_reduces_to_level_at_gamma_zero(self):
