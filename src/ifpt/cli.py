@@ -62,9 +62,21 @@ def _echo_model(config: RunConfig) -> dict:
 
 
 def _out_path(args, config: RunConfig, key: str, default: str) -> str:
+    """The path output.<key> names; called before any work, so a path that
+    cannot be written exits 2 instead of failing after the run."""
     name = config.output.get(key, default)
+    if not name:
+        raise ConfigError(f"output.{key}", "empty path")
     path = name if os.path.isabs(name) else os.path.join(args.out, name)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    parent = os.path.dirname(path) or "."
+    try:
+        os.makedirs(parent, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.{key}", f"cannot create directory {parent!r}: {exc.strerror}") from exc
+    if os.path.isdir(path):
+        raise ConfigError(f"output.{key}", f"{path!r} is a directory")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ConfigError(f"output.{key}", f"{path!r} is not writable")
     return path
 
 
@@ -74,12 +86,13 @@ def cmd_calibrate(args) -> int:
     if args.seed is None:
         require(config, "seed")
     seed = args.seed if args.seed is not None else config.seed
+    csv_path = _out_path(args, config, "boundary_csv", "boundary.csv")
+    report_path = _out_path(args, config, "report", "report.json")
     opts = CalibrationOptions(particles=config.particles, grid=config.grid, seed=seed)
     t0 = time.perf_counter()
     est = calibrate(config.process, config.initial, config.target, opts)
     elapsed = time.perf_counter() - t0
 
-    csv_path = _out_path(args, config, "boundary_csv", "boundary.csv")
     io.write_estimate_csv(csv_path, est)
     report = {
         "command": "calibrate",
@@ -90,7 +103,6 @@ def cmd_calibrate(args) -> int:
         "boundary_csv": csv_path,
         "boundary": io.estimate_document(est),
     }
-    report_path = _out_path(args, config, "report", "report.json")
     io.write_json(report_path, report)
     print(f"calibrate: wrote {csv_path} ({len(config.grid)} grid points, seed {seed})")
     return EXIT_OK
@@ -99,6 +111,8 @@ def cmd_calibrate(args) -> int:
 def cmd_verify(args) -> int:
     config = load_config(args.config)
     require(config, "process", "initial", "target", "grid", "verify")
+    report_path = _out_path(args, config, "report", "report.json")
+    fpt_path = _out_path(args, config, "fpt", "fpt.txt") if "fpt" in config.output else None
     v = config.verify
     csv_in = v["boundary_csv"]
     if not os.path.isabs(csv_in):
@@ -131,9 +145,9 @@ def cmd_verify(args) -> int:
         "censored_fraction": sample.censored_fraction,
         "passed": bool(passed),
     }
-    io.write_json(_out_path(args, config, "report", "report.json"), report)
-    if "fpt" in config.output:
-        io.write_fpt_sample(_out_path(args, config, "fpt", "fpt.txt"), sample)
+    io.write_json(report_path, report)
+    if fpt_path is not None:
+        io.write_fpt_sample(fpt_path, sample)
     print(
         f"verify: KS={ks:.6f} tolerance={v['tolerance']:g} "
         f"censored={sample.censored_fraction:.4f} -> {'pass' if passed else 'FAIL'}"
@@ -148,6 +162,7 @@ def cmd_compare(args) -> int:
         require(config, "seed")
     (left, right, slack) = config.compare
     seed = args.seed if args.seed is not None else config.seed
+    report_path = _out_path(args, config, "report", "report.json")
     opts = CalibrationOptions(particles=config.particles, grid=config.grid, seed=seed)
     hazard = check_hazard_order(left[2], right[2], config.grid)
     est1 = calibrate(left[0], left[1], left[2], opts)
@@ -163,7 +178,7 @@ def cmd_compare(args) -> int:
         "left": io.estimate_document(est1),
         "right": io.estimate_document(est2),
     }
-    io.write_json(_out_path(args, config, "report", "report.json"), report)
+    io.write_json(report_path, report)
     print(
         f"compare: hazard order {'holds' if hazard.holds else 'FAILS'}; "
         f"b_left <= b_right + {slack:g} {'holds' if report_cmp.holds else 'FAILS'}"

@@ -22,7 +22,6 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import exp1, gamma as gamma_fn, gammainc, gammaincc, pdtr
 
 from .rng import StreamKeys
@@ -42,6 +41,10 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(f, a, b, points=None) -> float:
+    # scipy.integrate (and the scipy.optimize/linalg/sparse tree it loads)
+    # costs about 0.3 s and 25 MiB at import, and no CLI command integrates
+    from scipy.integrate import quad
+
     val, err = quad(f, a, b, epsabs=1e-13, epsrel=QUAD_REL_TOL, limit=400, points=points)
     if err > 100 * max(1e-12, QUAD_REL_TOL * abs(val)):
         raise QuadratureError(f"quadrature residual {err:g} for value {val:g}")
@@ -668,6 +671,8 @@ def scale_transform(model: IntervalDiffusion, x: float, c: float) -> float:
         raise ValueError("x must lie in (L, R)")
     if x == c:
         return 0.0
+    from scipy.integrate import quad  # see _quad
+
     val, err = quad(lambda z: 1.0 / float(model.sigma(z)), c, x, epsabs=SCALE_ABS_TOL, limit=400)
     # quad's estimate is conservative; only genuine non-convergence raises
     if err > 1e-6 * max(1.0, abs(val)):

@@ -1,10 +1,10 @@
 """Target distributions for the inverse problem: laws of xi > 0.
 
 Each kind exposes exact survival evaluation, the sup-support time, its
-atom list, and a deterministic sampler.  Defective laws (positive mass at
-+inf, e.g. a hitting law with an upward-drifting boundary) are allowed;
-their samplers return +inf for the never-hit mass and calibration simply
-never kills the residual fraction.
+atoms as a (times, masses) pair of arrays, and a deterministic sampler.
+Defective laws (positive mass at +inf, e.g. a hitting law with an
+upward-drifting boundary) are allowed; their samplers return +inf for the
+never-hit mass and calibration simply never kills the residual fraction.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ class TargetDistribution:
         """P(xi >= t); differs from survival only at atoms."""
         return self.survival(t)
 
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        return ()
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times, masses) of the atoms, times sorted and distinct."""
+        return np.empty(0), np.empty(0)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         raise NotImplementedError
@@ -39,7 +40,7 @@ class TargetDistribution:
     def validate(self) -> list[str]:
         """Problems that keep this from being the law of some xi > 0; empty when valid."""
         problems = []
-        ts, ms = np.array(self.atoms(), dtype=float).reshape(-1, 2).T
+        ts, ms = self.atoms()
         # a bad parameter (weibull shape < 0) makes the probes divide by zero
         with np.errstate(all="ignore"):
             s0 = float(np.asarray(self.survival(0.0)))
@@ -180,7 +181,7 @@ class PointMass(TargetDistribution):
         return np.where(np.asarray(t, dtype=float) <= self.t0, 1.0, 0.0)
 
     def atoms(self):
-        return ((self.t0, 1.0),)
+        return np.array([self.t0], dtype=float), np.array([1.0])
 
     def sample(self, n, seed):
         return np.full(n, float(self.t0))
@@ -201,11 +202,12 @@ class Mixture(TargetDistribution):
         return sum(w * c.survival_left(t) for w, c in self.components)
 
     def atoms(self):
-        merged: dict[float, float] = {}
-        for w, c in self.components:
-            for t, m in c.atoms():
-                merged[t] = merged.get(t, 0.0) + w * m
-        return tuple(sorted(merged.items()))
+        ts, ms = zip(*(c.atoms() for _, c in self.components))
+        times, inverse = np.unique(np.concatenate(ts), return_inverse=True)
+        # bincount adds the masses that share a time in component order;
+        # over no atoms at all it returns an integer array, hence astype
+        masses = np.concatenate([w * m for (w, _), m in zip(self.components, ms)])
+        return times, np.bincount(inverse, weights=masses, minlength=len(times)).astype(float)
 
     def sample(self, n, seed):
         rng = generator(seed, SAMPLE_LABEL)
@@ -242,8 +244,7 @@ class EmpiricalTarget(TargetDistribution):
 
     def atoms(self):
         vals, counts = np.unique(self.samples, return_counts=True)
-        n = len(self.samples)
-        return tuple((float(v), c / n) for v, c in zip(vals, counts))
+        return vals, counts / len(self.samples)
 
     def sample(self, n, seed):
         rng = generator(seed, SAMPLE_LABEL)

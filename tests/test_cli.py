@@ -175,6 +175,26 @@ class TestCalibrateCommand:
         assert "config error: output.report: " in capsys.readouterr().err
         assert not (out / "boundary.csv").exists()
 
+    @pytest.mark.parametrize(
+        "name, problem",
+        [
+            ("", "empty path"),
+            ("taken", "is a directory"),
+            # a parent that is a regular file: unlike chmod, this stops root too
+            ("plain.txt/report.json", "cannot create directory"),
+        ],
+    )
+    def test_unwritable_output_exits_2_before_work(self, tmp_path, capsys, monkeypatch, name, problem):
+        # each used to run the whole calibration, then exit 1 with an OSError traceback
+        (tmp_path / "out" / "taken").mkdir(parents=True)
+        (tmp_path / "out" / "plain.txt").write_text("")
+        monkeypatch.setattr(cli, "calibrate", lambda *a: pytest.fail("calibrated before checking outputs"))
+        rc, out = run_calibrate(tmp_path, dict(CONFIG_A, output={"report": name}))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output.report: ") and problem in err
+        assert not (out / "boundary.csv").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
     def test_seed_option_out_of_range_exits_2(self, tmp_path, capsys, seed):
         # --seed -1 used to be reduced mod 2**64 and run as 2**64 - 1
@@ -316,6 +336,16 @@ class TestVerifyCommand:
         data = (tmp_path / "fpt.txt").read_bytes()
         assert hashlib.sha256(data).hexdigest() == GOLDEN_B_FPT_SHA
 
+    def test_unwritable_fpt_exits_2_before_work(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "plain.txt").write_text("")
+        cfg = self._verify_cfg("unused.csv", tolerance=0.1)
+        cfg["output"] = {"fpt": "plain.txt/fpt.txt"}
+        monkeypatch.setattr(cli, "forward_fpt", lambda *a: pytest.fail("simulated before checking outputs"))
+        rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: output.fpt: ")
+        assert not (tmp_path / "report.json").exists()
+
     def test_grid_mismatch_exits_2(self, tmp_path):
         _, out = run_calibrate(tmp_path, CONFIG_A)
         cfg = self._verify_cfg(str(out / "boundary.csv"), tolerance=0.1)
@@ -359,6 +389,15 @@ class TestCompareCommand:
         rc = cli.main(["compare", "-c", write_config(tmp_path, cfg), "-o", str(tmp_path)])
         assert rc == 2
         assert "config error: compare.slack: " in capsys.readouterr().err
+
+
+    def test_report_directory_exits_2_before_work(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "report.json").mkdir()
+        monkeypatch.setattr(cli, "calibrate", lambda *a: pytest.fail("calibrated before checking outputs"))
+        rc = cli.main(["compare", "-c", write_config(tmp_path, self._cfg(2.0, 1.0)), "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output.report: ") and "is a directory" in err
 
 
 class TestClassifyCommand:

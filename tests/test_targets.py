@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ifpt.targets import (
     EmpiricalTarget,
@@ -160,17 +161,51 @@ class TestSample:
             sample(Exponential(1.0), 0, 1)
 
 
+def assert_atoms(target, times, masses):
+    ts, ms = target.atoms()
+    assert ts.dtype == ms.dtype == np.float64
+    np.testing.assert_array_equal(ts, times)
+    np.testing.assert_array_equal(ms, masses)
+
+
+def dict_merged_atoms(components):
+    """Reference merge: a dict keyed by atom time, adding weighted masses in component order."""
+    merged = {}
+    for w, c in components:
+        for t, m in zip(*c.atoms()):
+            merged[t] = merged.get(t, 0.0) + w * m
+    return sorted(merged.items())
+
+
+# few distinct times, so that components share atoms
+ATOM_TIMES = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+ATOM_COMPONENTS = st.one_of(
+    st.just(Exponential(1.0)),
+    ATOM_TIMES.map(PointMass),
+    st.lists(ATOM_TIMES, min_size=1, max_size=8).map(lambda xs: EmpiricalTarget(np.array(xs))),
+)
+
+
 class TestAtoms:
     def test_point_mass_atom(self):
-        assert PointMass(1.0).atoms() == ((1.0, 1.0),)
+        assert_atoms(PointMass(1.0), [1.0], [1.0])
 
     def test_mixture_scales_atoms(self):
         mix = Mixture(((0.5, Exponential(1.0)), (0.5, PointMass(0.5))))
-        assert mix.atoms() == ((0.5, 0.5),)
+        assert_atoms(mix, [0.5], [0.5])
 
     def test_empirical_atoms_with_ties(self):
         t = EmpiricalTarget(np.array([1.0, 1.0, 2.0, 4.0]))
-        assert t.atoms() == ((1.0, 0.5), (2.0, 0.25), (4.0, 0.25))
+        assert_atoms(t, [1.0, 2.0, 4.0], [0.5, 0.25, 0.25])
+
+    def test_mixture_without_atoms(self):
+        assert_atoms(Mixture(((0.5, Exponential(1.0)), (0.5, Weibull(2.0, 1.0)))), [], [])
+
+    @given(st.lists(st.tuples(st.floats(0.01, 1.0), ATOM_COMPONENTS), min_size=1, max_size=5))
+    def test_mixture_merge_matches_dict_merge(self, components):
+        # bit-for-bit: both add the masses of a shared time in component order
+        expected = dict_merged_atoms(components)
+        assert_atoms(Mixture(tuple(components)), [t for t, _ in expected], [m for _, m in expected])
 
 
 class TestValidate:
