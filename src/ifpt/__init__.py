@@ -4,14 +4,7 @@ matches a target distribution, verify it by forward simulation, and check
 the order-theoretic and classification conditions of the underlying
 process."""
 
-from .boundary import (
-    BoundaryCurve,
-    BoundaryEstimate,
-    TimeGrid,
-    epigraph_hausdorff,
-    restrict_after,
-    shift_up,
-)
+from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid, epigraph_hausdorff
 from .calibrate import (
     CalibrationOptions,
     EmpiricalInitial,
@@ -21,14 +14,7 @@ from .calibrate import (
     calibrate,
     refine_and_diagnose,
 )
-from .orders import (
-    EmpiricalDistribution,
-    OrderReport,
-    check_hazard_order,
-    check_usual_order,
-    quantile,
-    truncate_T_alpha,
-)
+from .orders import OrderReport, check_hazard_order
 from .processes import (
     BrownianDrift,
     FiniteAtoms,
@@ -53,7 +39,6 @@ from .targets import (
     Mixture,
     PointMass,
     Weibull,
-    sample,
 )
 from .verify import (
     FptSample,

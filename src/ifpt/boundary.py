@@ -132,24 +132,6 @@ class BoundaryCurve:
         return float(self.values[idx])
 
 
-def restrict_after(curve: BoundaryCurve, s: float) -> BoundaryCurve:
-    """Replace the curve by the fill value strictly before time s."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    vals = np.where(curve.grid.points >= s, curve.values, curve.off_grid_value)
-    return BoundaryCurve(curve.grid, vals, curve.domain_bounds)
-
-
-def shift_up(curve: BoundaryCurve, eps: float) -> BoundaryCurve:
-    """Raise every finite value by eps > 0; infinities are absorbing."""
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    vals = curve.values.copy()
-    finite = np.isfinite(vals)
-    vals[finite] += eps
-    return BoundaryCurve(curve.grid, vals, curve.domain_bounds)
-
-
 def compactify_space(x) -> np.ndarray:
     """phi(x) = x / (1 + |x|), with +-inf mapped to +-1."""
     x = np.asarray(x, dtype=float)

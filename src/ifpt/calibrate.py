@@ -63,6 +63,10 @@ class UniformInitial(InitialDistribution):
     a: float
     b: float
 
+    def __post_init__(self):
+        if not self.a < self.b:
+            raise ValueError("a must be < b")
+
     def ppf(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
 
@@ -71,6 +75,10 @@ class UniformInitial(InitialDistribution):
 class NormalInitial(InitialDistribution):
     mean: float
     std: float
+
+    def __post_init__(self):
+        if not self.std > 0:
+            raise ValueError("std must be > 0")
 
     def ppf(self, u):
         return self.mean + self.std * ndtri(np.asarray(u, dtype=float))

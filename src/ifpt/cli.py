@@ -43,6 +43,16 @@ def _seed_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _threads_arg(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 thread, got {n}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ifpt", description="inverse first-passage time solver")
     sub = p.add_subparsers(dest="command", required=True)
@@ -52,7 +62,10 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("-o", "--out", default=".", help="output directory")
         sp.add_argument("--seed", type=_seed_arg, default=None, help="override the config seed")
         sp.add_argument(
-            "--threads", type=int, default=1, help="accepted and echoed in the report; the solver runs on one thread"
+            "--threads",
+            type=_threads_arg,
+            default=1,
+            help="accepted and echoed in the report; the solver runs on one thread",
         )
     return p
 
@@ -80,6 +93,16 @@ def _out_path(args, config: RunConfig, key: str, default: str) -> str:
     return path
 
 
+def _check_distinct(**paths: str) -> None:
+    """Two output keys of one command must name two files; checked before any work."""
+    seen = {}
+    for key, path in paths.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"output.{key}", f"{path!r} is also output.{seen[real]}")
+        seen[real] = key
+
+
 def cmd_calibrate(args) -> int:
     config = load_config(args.config)
     require(config, "process", "initial", "target", "grid", "particles")
@@ -88,6 +111,7 @@ def cmd_calibrate(args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     csv_path = _out_path(args, config, "boundary_csv", "boundary.csv")
     report_path = _out_path(args, config, "report", "report.json")
+    _check_distinct(boundary_csv=csv_path, report=report_path)
     opts = CalibrationOptions(particles=config.particles, grid=config.grid, seed=seed)
     t0 = time.perf_counter()
     est = calibrate(config.process, config.initial, config.target, opts)
@@ -113,6 +137,8 @@ def cmd_verify(args) -> int:
     require(config, "process", "initial", "target", "grid", "verify")
     report_path = _out_path(args, config, "report", "report.json")
     fpt_path = _out_path(args, config, "fpt", "fpt.txt") if "fpt" in config.output else None
+    if fpt_path is not None:
+        _check_distinct(report=report_path, fpt=fpt_path)
     v = config.verify
     csv_in = v["boundary_csv"]
     if not os.path.isabs(csv_in):

@@ -130,6 +130,10 @@ def _samples(relpath, path: str, base_dir: str) -> np.ndarray:
         raise ConfigError(path, f"cannot read {full!r}: {exc}") from exc
     if data.size == 0:
         raise ConfigError(path, "sample file is empty")
+    # +inf is a sample (never-hit mass of a target); NaN is no value at all
+    nan = np.flatnonzero(np.isnan(data))
+    if len(nan):
+        raise ConfigError(path, f"sample file holds NaN at entry {nan[0]}")
     return data
 
 

@@ -1,19 +1,11 @@
-"""Stochastic-order primitives: quantiles, lower-tail truncation, checkers.
+"""Stochastic-order check between two target laws.
 
-The truncation operator conditions a law on its lower alpha-quantile tail;
-it is the kill operator of the calibration step.  Order checks are exact
-for empirical step CDFs because gaps are extremal at jump points.
-
-Tie rule: truncation keeps every sample <= the quantile, so with heavy
-ties the kept mass can exceed alpha.  Order preservation under truncation
-(smaller law, smaller or equal tail fraction: truncations stay ordered)
-needs the kept mass to match alpha, so it is exact only for tie-free
-samples.
+The hazard-rate order is a comparison-principle hypothesis: if S_a / S_b is
+non-increasing, the calibrated boundaries are ordered (b_a <= b_b).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,57 +13,11 @@ import numpy as np
 ORDER_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalDistribution:
-    """Sorted samples with uniform weight 1/n."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.sort(np.asarray(self.samples, dtype=float))
-        if len(s) == 0:
-            raise ValueError("need at least one sample")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("samples must be finite")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-    def cdf(self, c) -> np.ndarray:
-        return np.searchsorted(self.samples, c, side="right") / self.n
-
-
 @dataclass(frozen=True)
 class OrderReport:
     holds: bool
     worst_violation: float
     witness: float | None
-
-
-def quantile(dist: EmpiricalDistribution, alpha: float) -> float:
-    """Smallest sample whose rank fraction reaches alpha."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    k = math.ceil(alpha * dist.n - 1e-9)
-    return float(dist.samples[max(k, 1) - 1])
-
-
-def truncate_T_alpha(dist: EmpiricalDistribution, alpha: float) -> EmpiricalDistribution:
-    """Condition on the lower alpha-tail: keep samples <= the alpha-quantile."""
-    q = quantile(dist, alpha)
-    return EmpiricalDistribution(dist.samples[dist.samples <= q])
-
-
-def check_usual_order(a: EmpiricalDistribution, b: EmpiricalDistribution) -> OrderReport:
-    """Does F_a dominate F_b pointwise (a stochastically smaller than b)?"""
-    cs = np.union1d(a.samples, b.samples)
-    gap = b.cdf(cs) - a.cdf(cs)
-    i = int(np.argmax(gap))
-    worst = float(gap[i])
-    return OrderReport(holds=worst <= ORDER_TOL, worst_violation=worst, witness=float(cs[i]))
 
 
 def check_hazard_order(a, b, grid) -> OrderReport:

@@ -642,17 +642,9 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     return cdf
 
 
-def poisson_counts(lam: float, u: np.ndarray) -> np.ndarray:
-    """Poisson(lam) counts by inverse CDF of uniforms u in (0, 1).
-
-    The full-width definition; the stepper uses ``poisson_jumps``, which
-    the tests hold to it.
-    """
-    return np.searchsorted(_poisson_cdf(lam), u)
-
-
 def poisson_jumps(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions i with a nonzero count in ``poisson_counts(lam, u)``, and those counts.
+    """Poisson(lam) counts by inverse CDF of uniforms u in (0, 1): the
+    positions i with a nonzero count, and those counts.
 
     A count is 0 exactly when u <= P(N = 0), so the table search runs only
     on the uniforms that jump.

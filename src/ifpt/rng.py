@@ -10,8 +10,8 @@ on the seed, the step, the slot, the row and its id -- never on execution
 order, thread count, or which other particles are alive.  This is what
 makes common-random-number coupling across runs exact.
 
-Draws of a whole sample at once (initial positions, target samples) come
-from Philox generators keyed by a hash of ``(seed, label)``.
+Initial positions, drawn as a whole sample at once, come from a Philox
+generator keyed by a hash of ``(seed, label)``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ _CHUNK = 1 << 15
 # fixed labels for the top-level stream families
 INIT_LABEL = 0x11
 STEP_LABEL = 0x22
-SAMPLE_LABEL = 0x33
 
 
 def _mix64(z: int) -> int:
@@ -128,7 +127,7 @@ class StreamKeys:
     # perfbench/tracer.py binds the two names below at install; they go
     # when the benchmark is next revised
     def poisson_full(self, lam: float, slot: int = 0) -> np.ndarray:
-        raise NotImplementedError("counts are drawn per id: see processes.poisson_counts")
+        raise NotImplementedError("counts are drawn per id: see processes.poisson_jumps")
 
     def uniform_rows(self, slot: int = 0):
         raise NotImplementedError("jump sizes are drawn per id: see StreamKeys.uniforms")

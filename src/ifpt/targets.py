@@ -1,10 +1,9 @@
 """Target distributions for the inverse problem: laws of xi > 0.
 
-Each kind exposes exact survival evaluation, the sup-support time, its
-atoms as a (times, masses) pair of arrays, and a deterministic sampler.
-Defective laws (positive mass at +inf, e.g. a hitting law with an
-upward-drifting boundary) are allowed; their samplers return +inf for the
-never-hit mass and calibration simply never kills the residual fraction.
+Each kind exposes exact survival evaluation, the sup-support time and its
+atoms as a (times, masses) pair of arrays.  Defective laws (positive mass
+at +inf, e.g. a hitting law with an upward-drifting boundary) are allowed;
+calibration simply never kills the residual fraction.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
-
-from .rng import SAMPLE_LABEL, derive_seed, generator
 
 
 class TargetDistribution:
@@ -33,9 +30,6 @@ class TargetDistribution:
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, masses) of the atoms, times sorted and distinct."""
         return np.empty(0), np.empty(0)
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        raise NotImplementedError
 
     def validate(self) -> list[str]:
         """Problems that keep this from being the law of some xi > 0; empty when valid."""
@@ -83,10 +77,6 @@ class Exponential(TargetDistribution):
     def survival(self, t):
         return np.exp(-self.rate * np.asarray(t, dtype=float))
 
-    def sample(self, n, seed):
-        u = generator(seed, SAMPLE_LABEL).random(n)
-        return -np.log1p(-u) / self.rate
-
 
 @dataclass(frozen=True)
 class Weibull(TargetDistribution):
@@ -96,10 +86,6 @@ class Weibull(TargetDistribution):
     def survival(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(-((t / self.scale) ** self.shape))
-
-    def sample(self, n, seed):
-        u = generator(seed, SAMPLE_LABEL).random(n)
-        return self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
 
 
 @dataclass(frozen=True)
@@ -111,15 +97,15 @@ class LevyHittingLaw(TargetDistribution):
 
     c: float
 
+    def __post_init__(self):
+        if not self.c > 0:
+            raise ValueError("c must be > 0")
+
     def survival(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             s = 1.0 - 2.0 * ndtr(-self.c / np.sqrt(np.maximum(t, 0.0)))
         return np.where(t > 0, s, 1.0)
-
-    def sample(self, n, seed):
-        z = generator(seed, SAMPLE_LABEL).standard_normal(n)
-        return (self.c / z) ** 2
 
 
 @dataclass(frozen=True)
@@ -133,6 +119,10 @@ class InverseGaussianHitting(TargetDistribution):
     c: float
     gamma: float
 
+    def __post_init__(self):
+        if not self.c > 0:
+            raise ValueError("c must be > 0")
+
     def survival(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -141,29 +131,6 @@ class InverseGaussianHitting(TargetDistribution):
                 -2.0 * self.gamma * self.c
             ) * ndtr((self.gamma * t - self.c) / rt)
         return np.where(t > 0, 1.0 - cdf, 1.0)
-
-    def hit_probability(self) -> float:
-        return math.exp(-2.0 * self.gamma * self.c) if self.gamma > 0 else 1.0
-
-    def sample(self, n, seed):
-        if self.gamma == 0.0:
-            return LevyHittingLaw(self.c).sample(n, seed)
-        rng = generator(seed, SAMPLE_LABEL)
-        # conditioned on hitting, the time is inverse Gaussian with
-        # mean c/|gamma| and shape c^2 (Michael-Schucany-Haas sampler)
-        mu = self.c / abs(self.gamma)
-        lam = self.c**2
-        z = rng.standard_normal(n)
-        v = z**2
-        x = mu + (mu**2 * v) / (2 * lam) - (mu / (2 * lam)) * np.sqrt(
-            4 * mu * lam * v + mu**2 * v**2
-        )
-        flip = rng.random(n) > mu / (mu + x)
-        out = np.where(flip, mu**2 / np.maximum(x, 1e-300), x)
-        if self.gamma > 0:
-            censored = rng.random(n) >= self.hit_probability()
-            out = np.where(censored, np.inf, out)
-        return out
 
 
 @dataclass(frozen=True)
@@ -182,9 +149,6 @@ class PointMass(TargetDistribution):
 
     def atoms(self):
         return np.array([self.t0], dtype=float), np.array([1.0])
-
-    def sample(self, n, seed):
-        return np.full(n, float(self.t0))
 
 
 @dataclass(frozen=True)
@@ -208,17 +172,6 @@ class Mixture(TargetDistribution):
         # over no atoms at all it returns an integer array, hence astype
         masses = np.concatenate([w * m for (w, _), m in zip(self.components, ms)])
         return times, np.bincount(inverse, weights=masses, minlength=len(times)).astype(float)
-
-    def sample(self, n, seed):
-        rng = generator(seed, SAMPLE_LABEL)
-        weights = np.array([w for w, _ in self.components])
-        pick = rng.choice(len(weights), size=n, p=weights / weights.sum())
-        out = np.empty(n)
-        for i, (_, comp) in enumerate(self.components):
-            idx = np.flatnonzero(pick == i)
-            if len(idx):
-                out[idx] = comp.sample(len(idx), derive_seed(seed, 0x5B, i))
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,14 +198,3 @@ class EmpiricalTarget(TargetDistribution):
     def atoms(self):
         vals, counts = np.unique(self.samples, return_counts=True)
         return vals, counts / len(self.samples)
-
-    def sample(self, n, seed):
-        rng = generator(seed, SAMPLE_LABEL)
-        return self.samples[rng.integers(0, len(self.samples), size=n)]
-
-
-def sample(target: TargetDistribution, n: int, seed: int) -> np.ndarray:
-    """n deterministic draws; +inf encodes the defective (never) mass."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return target.sample(n, seed)

@@ -35,7 +35,6 @@ class FptSample:
 
     times: np.ndarray
     grid: TimeGrid
-    horizon: float
     n: int
 
     def __post_init__(self):
@@ -65,7 +64,7 @@ def forward_fpt(
         ens.remove(crossed)
         if not len(ens.ids):
             break
-    return FptSample(times=times, grid=boundary.grid, horizon=float(boundary.grid.points[-1]), n=n)
+    return FptSample(times=times, grid=boundary.grid, n=n)
 
 
 def ks_statistic(sample: FptSample, target: TargetDistribution) -> tuple[float, float]:

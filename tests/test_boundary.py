@@ -10,8 +10,6 @@ from ifpt.boundary import (
     TimeGrid,
     _raster_rows,
     epigraph_hausdorff,
-    restrict_after,
-    shift_up,
 )
 
 INF = math.inf
@@ -71,59 +69,6 @@ class TestEvaluate:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             curve([1.0], [0.0])(-0.1)
-
-
-class TestRestrictAfter:
-    def test_definition(self):
-        c = curve([0.5, 1.0], [0.2, 0.4])
-        r = restrict_after(c, 0.75)
-        assert r.values[0] == INF and r.values[1] == 0.4
-
-    def test_s_zero_is_identity(self):
-        c = curve([0.5, 1.0], [0.2, 0.4])
-        assert np.array_equal(restrict_after(c, 0.0).values, c.values)
-
-    def test_full_truncation(self):
-        c = curve([0.5, 1.0], [0.2, 0.4])
-        assert np.all(restrict_after(c, 2.0).values == INF)
-
-    def test_composition_is_max(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(1, 8))
-            pts = np.sort(rng.uniform(0.1, 4.0, n)) + np.arange(n) * 1e-6
-            c = curve(pts, rng.uniform(-2, 2, n))
-            s1, s2 = rng.uniform(0, 5, 2)
-            a = restrict_after(restrict_after(c, s1), s2)
-            b = restrict_after(c, max(s1, s2))
-            assert np.array_equal(a.values, b.values)
-
-
-class TestShiftUp:
-    def test_finite_and_minus_inf(self):
-        c = curve([0.5, 1.0], [0.2, -INF])
-        s = shift_up(c, 0.1)
-        assert s.values[0] == pytest.approx(0.3)
-        assert s.values[1] == -INF
-
-    def test_plus_inf_absorbing(self):
-        assert shift_up(curve([1.0], [INF]), 1.0).values[0] == INF
-
-    def test_zero_value(self):
-        assert shift_up(curve([1.0], [0.0]), 0.5).values[0] == 0.5
-
-    def test_additive_composition(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            c = curve([0.3, 0.9], rng.uniform(-3, 3, 2))
-            e1, e2 = rng.uniform(0.01, 1.0, 2)
-            a = shift_up(shift_up(c, e1), e2)
-            b = shift_up(c, e1 + e2)
-            assert np.allclose(a.values, b.values)
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            shift_up(curve([1.0], [0.0]), 0.0)
 
 
 def brute_force_hausdorff(a, b, res):

@@ -195,6 +195,16 @@ class TestCalibrateCommand:
         assert err.startswith("config error: output.report: ") and problem in err
         assert not (out / "boundary.csv").exists()
 
+    @pytest.mark.parametrize("report", ["same", "sub/../same"])
+    def test_two_outputs_naming_one_file_exit_2_before_work(self, tmp_path, capsys, monkeypatch, report):
+        # the report used to overwrite the boundary CSV, and the run exited 0
+        monkeypatch.setattr(cli, "calibrate", lambda *a: pytest.fail("calibrated before checking outputs"))
+        rc, out = run_calibrate(tmp_path, dict(CONFIG_A, output={"boundary_csv": "same", "report": report}))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output.report: ") and "is also output.boundary_csv" in err
+        assert not (out / "same").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
     def test_seed_option_out_of_range_exits_2(self, tmp_path, capsys, seed):
         # --seed -1 used to be reduced mod 2**64 and run as 2**64 - 1
@@ -202,6 +212,14 @@ class TestCalibrateCommand:
             run_calibrate(tmp_path, CONFIG_A, extra=("--seed", seed))
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-4", "x"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        # 0 and -4 used to be accepted and echoed into the report
+        with pytest.raises(SystemExit) as exc:
+            run_calibrate(tmp_path, CONFIG_A, extra=("--threads", threads))
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_state_space_violation_is_runtime_error(self, tmp_path, capsys):
         cfg = dict(
@@ -346,6 +364,16 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("config error: output.fpt: ")
         assert not (tmp_path / "report.json").exists()
 
+    def test_report_and_fpt_naming_one_file_exit_2_before_work(self, tmp_path, capsys, monkeypatch):
+        # the fpt file used to overwrite the report, and the run exited 0
+        cfg = self._verify_cfg("unused.csv", tolerance=0.1)
+        cfg["output"] = {"report": "same", "fpt": "same"}
+        monkeypatch.setattr(cli, "forward_fpt", lambda *a: pytest.fail("simulated before checking outputs"))
+        rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: output.fpt: ")
+        assert not (tmp_path / "same").exists()
+
     def test_grid_mismatch_exits_2(self, tmp_path):
         _, out = run_calibrate(tmp_path, CONFIG_A)
         cfg = self._verify_cfg(str(out / "boundary.csv"), tolerance=0.1)
@@ -479,6 +507,15 @@ class TestFileBackedDistributions:
         rc, _ = run_calibrate(tmp_path, dict(CONFIG_A, initial={"kind": "empirical", "path": "x0.txt"}))
         assert rc == 2
         assert "config error: initial: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["target", "initial"])
+    def test_nan_in_sample_file_is_config_error(self, tmp_path, capsys, section):
+        # as a target, NaN was read as mass at +inf and the run exited 0;
+        # as an initial law it reached the stepper and exited 3
+        (tmp_path / "s.txt").write_text("0.5\nnan\n1.5\n")
+        rc, _ = run_calibrate(tmp_path, dict(CONFIG_A, **{section: {"kind": "empirical", "path": "s.txt"}}))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {section}.path: ")
 
 
 def test_verify_writes_fpt_file(tmp_path):

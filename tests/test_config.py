@@ -273,6 +273,29 @@ def test_extra_key_rejected_at_its_path(table_name, kind, tmp_path):
     assert err.value.path == PLACES[table_name][1]
 
 
+@pytest.mark.parametrize(
+    "table_name, spec, path, problem",
+    [
+        # each used to build and exit 0: c = 0 puts mass at t = 0, a
+        # negative std reverses the monotone coupling, a > b is no interval
+        ("target", {"kind": "levy_hitting", "c": 0.0}, "target", "c must be > 0"),
+        ("target", {"kind": "inverse_gaussian_hitting", "c": 0.0, "gamma": 0.5}, "target", "c must be > 0"),
+        (
+            "target",
+            {"kind": "mixture", "components": [{"weight": 1.0, "target": {"kind": "levy_hitting", "c": 0.0}}]},
+            "target.components[0].target",
+            "c must be > 0",
+        ),
+        ("initial", {"kind": "normal", "mean": 0.0, "std": -1.0}, "initial", "std must be > 0"),
+        ("initial", {"kind": "uniform", "a": 1.0, "b": 0.5}, "initial", "a must be < b"),
+    ],
+)
+def test_parameter_outside_the_model_rejected_at_its_path(table_name, spec, path, problem, tmp_path):
+    with pytest.raises(ConfigError, match=problem) as err:
+        _parse_at(table_name, spec, tmp_path)
+    assert err.value.path == path
+
+
 def _readme_json_documents():
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     for block in re.findall(r"```json\n(.*?)```", readme, re.S):

@@ -1,100 +1,50 @@
+import math
+
 import numpy as np
 import pytest
 
 from ifpt.boundary import TimeGrid
-from ifpt.orders import (
-    EmpiricalDistribution,
-    check_hazard_order,
-    check_usual_order,
-    quantile,
-    truncate_T_alpha,
-)
+from ifpt.calibrate import _select_kills
+from ifpt.orders import check_hazard_order
 from ifpt.targets import Exponential, PointMass
 
 
-def emp(xs):
-    return EmpiricalDistribution(np.asarray(xs, dtype=float))
+def kept(x, count):
+    """The entries of x, sorted, that the solver's kill keeps when it keeps ``count``."""
+    _, killed = _select_kills(x, count)
+    return np.sort(np.delete(x, killed))
+
+
+def lower_tail(x, alpha):
+    return kept(x, math.ceil(alpha * len(x)))
 
 
 def brute_cdf_dominates(a, b):
     """Oracle: direct counting on the merged support, no library calls."""
-    cs = sorted(set(list(a.samples) + list(b.samples)))
-    for c in cs:
-        fa = sum(1 for x in a.samples if x <= c) / len(a.samples)
-        fb = sum(1 for x in b.samples if x <= c) / len(b.samples)
+    for c in sorted(set(a) | set(b)):
+        fa = sum(1 for x in a if x <= c) / len(a)
+        fb = sum(1 for x in b if x <= c) / len(b)
         if fa < fb - 1e-12:
             return False
     return True
 
 
-class TestQuantile:
-    def test_inf_definition(self):
-        assert quantile(emp([1, 2, 3, 4]), 0.5) == 2.0
-
-    def test_single_atom(self):
-        for alpha in (0.01, 0.5, 1.0):
-            assert quantile(emp([7]), alpha) == 7.0
-
-    def test_alpha_one_is_max(self):
-        assert quantile(emp([1, 2, 3, 4]), 1.0) == 4.0
-
-    def test_monotone_in_alpha(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            d = emp(rng.normal(size=int(rng.integers(1, 40))))
-            alphas = np.sort(rng.uniform(0.01, 1.0, 5))
-            qs = [quantile(d, a) for a in alphas]
-            assert np.all(np.diff(qs) >= 0)
-
-    def test_bad_alpha(self):
-        with pytest.raises(ValueError):
-            quantile(emp([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            quantile(emp([1.0]), 1.5)
-
-
 class TestTruncate:
+    """The solver's kill, read as truncation of a sample to its lower alpha-tail."""
+
     def test_lower_half(self):
-        assert list(truncate_T_alpha(emp([1, 2, 3, 4]), 0.5).samples) == [1.0, 2.0]
+        assert list(lower_tail(np.array([3.0, 1.0, 4.0, 2.0]), 0.5)) == [1.0, 2.0]
 
     def test_alpha_one_identity(self):
-        d = emp([3, 1, 4, 1, 5])
-        assert np.array_equal(truncate_T_alpha(d, 1.0).samples, d.samples)
-
-    def test_ties_keep_everything_at_quantile(self):
-        assert list(truncate_T_alpha(emp([5, 5, 5]), 0.4).samples) == [5.0, 5.0, 5.0]
+        x = np.array([3.0, 1.0, 4.0, 1.5, 5.0])
+        assert np.array_equal(lower_tail(x, 1.0), np.sort(x))
 
     def test_truncation_dominates_original(self):
         # conditioning on a lower tail makes the law stochastically smaller
         rng = np.random.default_rng(1)
         for _ in range(100):
-            d = emp(rng.normal(size=int(rng.integers(1, 30))))
-            t = truncate_T_alpha(d, float(rng.uniform(0.05, 1.0)))
-            cs = np.union1d(d.samples, t.samples)
-            assert np.all(t.cdf(cs) >= d.cdf(cs) - 1e-12)
-
-
-class TestUsualOrder:
-    def test_ordered_diracs(self):
-        assert check_usual_order(emp([0]), emp([1])).holds
-
-    def test_reversed_diracs(self):
-        r = check_usual_order(emp([1]), emp([0]))
-        assert not r.holds
-        assert r.witness == 0.0
-
-    def test_crossing_pair(self):
-        r = check_usual_order(emp([1, 3]), emp([2, 2]))
-        assert not r.holds
-        assert r.worst_violation == pytest.approx(0.5)
-        assert r.witness == 2.0
-
-    def test_agrees_with_brute_force(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            a = emp(rng.normal(size=int(rng.integers(1, 15))))
-            b = emp(rng.normal(size=int(rng.integers(1, 15))))
-            assert check_usual_order(a, b).holds == brute_cdf_dominates(a, b)
+            x = rng.normal(size=int(rng.integers(1, 30)))
+            assert brute_cdf_dominates(lower_tail(x, float(rng.uniform(0.05, 1.0))), x)
 
 
 class TestHazardOrder:
@@ -113,38 +63,34 @@ class TestHazardOrder:
 
 
 def random_dominating_pair(rng):
-    """Tie-free empirical pair with a stochastically smaller than b."""
+    """Tie-free pair of samples with a stochastically smaller than b."""
     n = int(rng.integers(2, 40))
     b = rng.normal(size=n) * rng.uniform(0.5, 2.0) + rng.uniform(-1, 1)
     a = b - rng.exponential(0.7, size=n)
-    return emp(a), emp(b)
+    return a, b
 
 
 class TestTruncationPreservesOrder:
     def test_order_preserved_randomized(self):
-        # empirical form of the quantile-truncation order lemma
+        # the quantile-truncation order lemma, applied by the solver's kill
         rng = np.random.default_rng(3)
         for _ in range(300):
             a, b = random_dominating_pair(rng)
             a1 = float(rng.uniform(0.02, 1.0))
             a2 = float(rng.uniform(a1, 1.0))
-            ta = truncate_T_alpha(a, a1)
-            tb = truncate_T_alpha(b, a2)
-            assert brute_cdf_dominates(ta, tb)
-            assert check_usual_order(ta, tb).holds
+            assert brute_cdf_dominates(lower_tail(a, a1), lower_tail(b, a2))
 
     def test_unequal_sizes_with_attained_alpha(self):
         # when alpha1 is exactly attained the conclusion holds across sizes
         rng = np.random.default_rng(4)
         for _ in range(100):
             n1 = int(rng.integers(2, 25))
-            b = emp(rng.normal(size=int(rng.integers(2, 25))) + 1.0)
+            b = rng.normal(size=int(rng.integers(2, 25))) + 1.0
             # quantile coupling: a sits below b's quantile function
             u = (np.arange(1, n1 + 1)) / n1
-            a = emp(np.quantile(b.samples, u, method="inverted_cdf") - rng.exponential(0.5, n1))
+            a = np.quantile(b, u, method="inverted_cdf") - rng.exponential(0.5, n1)
             if not brute_cdf_dominates(a, b):
                 continue
             k1 = int(rng.integers(1, n1 + 1))
-            a1 = k1 / n1
-            a2 = float(rng.uniform(a1, 1.0))
-            assert brute_cdf_dominates(truncate_T_alpha(a, a1), truncate_T_alpha(b, a2))
+            a2 = float(rng.uniform(k1 / n1, 1.0))
+            assert brute_cdf_dominates(kept(a, k1), lower_tail(b, a2))

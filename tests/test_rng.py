@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ifpt.processes import _poisson_cdf, poisson_counts, poisson_jumps
+from ifpt.processes import _poisson_cdf, poisson_jumps
 from ifpt.rng import StreamKeys, keyed_uniforms
 
 seeds = st.integers(0, 2**64 - 1)
+
+
+def poisson_counts(lam, u):
+    """Full-width reference: Poisson(lam) counts by inverse CDF of uniforms u in (0, 1)."""
+    return np.searchsorted(_poisson_cdf(lam), u)
 
 
 @st.composite
@@ -95,7 +100,7 @@ class TestPoissonCounts:
         # the keyed uniforms, plus both sides of the zero-count edge
         u = np.concatenate([keyed_uniforms(key, np.arange(n)), [cdf[0], np.nextafter(cdf[0], 1.0)]])
         jumping, counts = poisson_jumps(lam, u)
-        full = np.searchsorted(cdf, u)
+        full = poisson_counts(lam, u)
         assert np.array_equal(jumping, np.flatnonzero(full))
         assert np.array_equal(counts, full[jumping])
         assert full[-2] == 0 and full[-1] == 1

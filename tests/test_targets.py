@@ -12,7 +12,6 @@ from ifpt.targets import (
     Mixture,
     PointMass,
     Weibull,
-    sample,
 )
 
 
@@ -34,6 +33,11 @@ ANALYTIC_KINDS = [
 class TestSurvival:
     def test_exponential_at_zero(self):
         assert Exponential(1.0).survival(0.0) == 1.0
+
+    @pytest.mark.parametrize("t", [0.1, 0.7, 2.0, 5.5])
+    def test_exponential_and_weibull_closed_forms(self, t):
+        assert float(Exponential(0.3).survival(t)) == pytest.approx(math.exp(-0.3 * t), rel=1e-14)
+        assert float(Weibull(1.7, 2.0).survival(t)) == pytest.approx(math.exp(-((t / 2.0) ** 1.7)), rel=1e-14)
 
     def test_levy_hitting_value(self):
         # closed form 2 Phi(-c/sqrt(t)) checked against an independent CDF
@@ -88,17 +92,6 @@ class TestSurvival:
         direct = 0.3 * comps[0][1].survival(ts) + 0.7 * comps[1][1].survival(ts)
         assert np.allclose(mix.survival(ts), direct, atol=1e-15)
 
-    def test_mixture_component_streams_do_not_overlap_across_seeds(self):
-        # components of one law, so an equal value means a shared stream
-        comp = Exponential(1.0)
-        mix = Mixture(((0.5, comp), (0.5, comp)))
-        for s in (0, 1, 12345, 2**63 + 7):
-            drawn = mix.sample(2000, s)
-            # seeding component i with s ^ (0x5B << i) handed component 1 the
-            # stream of seed s ^ (0x5B << 1), and component 0 of seed s ^ 0xED
-            for other in (comp.sample(2000, s ^ (0x5B << 1)), mix.sample(2000, s ^ 0xED)):
-                assert not np.intersect1d(drawn, other).size
-
 
 class TestSupSupportTime:
     def test_unbounded_kinds(self):
@@ -117,48 +110,6 @@ class TestSupSupportTime:
 
     def test_empirical(self):
         assert EmpiricalTarget(np.array([0.5, 2.0, 1.0])).t_sup == 2.0
-
-
-class TestSample:
-    def test_point_mass(self):
-        assert list(sample(PointMass(1.0), 3, 0)) == [1.0, 1.0, 1.0]
-
-    def test_deterministic_given_seed(self):
-        a = sample(Exponential(1.0), 1000, 42)
-        b = sample(Exponential(1.0), 1000, 42)
-        c = sample(Exponential(1.0), 1000, 43)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_exponential_mean_clt(self):
-        x = sample(Exponential(1.0), 10**6, 7)
-        assert abs(float(x.mean()) - 1.0) < 0.005
-
-    def test_levy_hitting_tail_probability(self):
-        x = sample(LevyHittingLaw(1.0), 10**6, 8)
-        p = float((x <= 1.0).mean())
-        assert abs(p - 0.3173105) < 0.0015
-
-    def test_defective_ig_censor_rate(self):
-        t = InverseGaussianHitting(1.0, 0.5)
-        x = sample(t, 200_000, 9)
-        frac = float(np.isinf(x).mean())
-        assert abs(frac - (1.0 - math.exp(-1.0))) < 0.005
-
-    def test_one_sample_ks_against_analytic_cdf(self):
-        # DKW 99% bound 1.63/sqrt(n) for each analytic kind
-        n = 10**5
-        for k, target in enumerate(ANALYTIC_KINDS):
-            x = np.sort(sample(target, n, 100 + k))
-            finite = x[np.isfinite(x)]
-            emp = np.arange(1, len(finite) + 1) / n
-            cdf = 1.0 - np.asarray(target.survival(finite))
-            ks = float(np.max(np.abs(emp - cdf)))
-            assert ks <= 1.63 / math.sqrt(n), (target, ks)
-
-    def test_rejects_n_zero(self):
-        with pytest.raises(ValueError):
-            sample(Exponential(1.0), 0, 1)
 
 
 def assert_atoms(target, times, masses):

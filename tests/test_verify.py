@@ -7,7 +7,8 @@ from scipy.special import ndtr
 from ifpt.boundary import BoundaryCurve, TimeGrid
 from ifpt.calibrate import CalibrationOptions, PointInitial, calibrate
 from ifpt.processes import BrownianDrift
-from ifpt.targets import Exponential, PointMass, sample
+from ifpt.rng import generator
+from ifpt.targets import Exponential, PointMass
 from ifpt.verify import (
     FptSample,
     GridMismatchError,
@@ -69,7 +70,6 @@ class TestForwardFpt:
         s = forward_fpt(BrownianDrift(0, 1), PointInitial(0.0), flat_curve(0.5, grid), 500, 4)
         finite = s.times[np.isfinite(s.times)]
         assert np.all(np.isin(finite, grid.points))
-        assert s.horizon == 2.0
 
 
 class TestInternalConsistency:
@@ -85,7 +85,7 @@ class TestInternalConsistency:
 class TestKsStatistic:
     def test_all_censored_vs_point_mass(self):
         grid = TimeGrid.arithmetic(1.0, 1.0, 2)
-        s = FptSample(times=np.full(100, INF), grid=grid, horizon=2.0, n=100)
+        s = FptSample(times=np.full(100, INF), grid=grid, n=100)
         assert ks_statistic(s, PointMass(1.0))[0] == 1.0
 
     def test_snapped_target_sample_within_dkw(self):
@@ -93,10 +93,10 @@ class TestKsStatistic:
         n = 100_000
         grid = TimeGrid.arithmetic(1 / 128, 1 / 128, 512)
         target = Exponential(1.0)
-        draws = sample(target, n, 5)
+        draws = -np.log1p(-generator(5, 0x33).random(n))
         idx = np.searchsorted(grid.points, draws, side="left")
         snapped = np.where(idx < len(grid), grid.points[np.minimum(idx, len(grid) - 1)], INF)
-        s = FptSample(times=snapped, grid=grid, horizon=float(grid.points[-1]), n=n)
+        s = FptSample(times=snapped, grid=grid, n=n)
         cell = float(np.max(np.abs(np.diff(target.survival(grid.points)))))
         assert ks_statistic(s, target)[0] <= 1.63 / math.sqrt(n) + cell
 
@@ -104,12 +104,12 @@ class TestKsStatistic:
         # half the paths cross at t = 2, against a point mass at 3: the gap
         # is 0, 1/2, 1/2 at t = 1, 2, 3
         grid = TimeGrid.arithmetic(1.0, 1.0, 3)
-        s = FptSample(times=np.repeat([2.0, INF], 50), grid=grid, horizon=3.0, n=100)
+        s = FptSample(times=np.repeat([2.0, INF], 50), grid=grid, n=100)
         assert ks_statistic(s, PointMass(3.0)) == (0.5, 2.0)
 
     def test_empty_sample_rejected(self):
         grid = TimeGrid(np.array([1.0]))
-        s = FptSample(times=np.array([]), grid=grid, horizon=1.0, n=0)
+        s = FptSample(times=np.array([]), grid=grid, n=0)
         with pytest.raises(ValueError):
             ks_statistic(s, Exponential(1.0))
 
