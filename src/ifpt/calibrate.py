@@ -231,6 +231,9 @@ def calibrate(
 
     curve = BoundaryCurve(grid, values, domain_bounds=model.state_bounds)
     diagnostics = asdict(diag)
+    # how closely the kills tracked the target: round-half-up keeps it <= 1/N
+    # unless ties cut a kill short
+    diagnostics["survival_gap_max"] = float(np.max(np.abs(achieved - s_target)))
     if isinstance(model, Levy):
         # small-jump budget: in discard mode the per-step martingale error
         # exceeds C with probability at most max_dt * variance / C^2

@@ -93,13 +93,14 @@ def _out_path(args, config: RunConfig, key: str, default: str) -> str:
     return path
 
 
-def _check_distinct(**paths: str) -> None:
-    """Two output keys of one command must name two files; checked before any work."""
+def _check_distinct(paths: dict[str, str]) -> None:
+    """No two config keys of one command (an input first, then its outputs)
+    may name one file; checked before any work.  The error names the later key."""
     seen = {}
     for key, path in paths.items():
         real = os.path.realpath(path)
         if real in seen:
-            raise ConfigError(f"output.{key}", f"{path!r} is also output.{seen[real]}")
+            raise ConfigError(key, f"{path!r} is also {seen[real]}")
         seen[real] = key
 
 
@@ -111,7 +112,7 @@ def cmd_calibrate(args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     csv_path = _out_path(args, config, "boundary_csv", "boundary.csv")
     report_path = _out_path(args, config, "report", "report.json")
-    _check_distinct(boundary_csv=csv_path, report=report_path)
+    _check_distinct({"output.boundary_csv": csv_path, "output.report": report_path})
     opts = CalibrationOptions(particles=config.particles, grid=config.grid, seed=seed)
     t0 = time.perf_counter()
     est = calibrate(config.process, config.initial, config.target, opts)
@@ -135,14 +136,16 @@ def cmd_calibrate(args) -> int:
 def cmd_verify(args) -> int:
     config = load_config(args.config)
     require(config, "process", "initial", "target", "grid", "verify")
-    report_path = _out_path(args, config, "report", "report.json")
-    fpt_path = _out_path(args, config, "fpt", "fpt.txt") if "fpt" in config.output else None
-    if fpt_path is not None:
-        _check_distinct(report=report_path, fpt=fpt_path)
     v = config.verify
     csv_in = v["boundary_csv"]
     if not os.path.isabs(csv_in):
         csv_in = os.path.join(v["base_dir"], csv_in)
+    report_path = _out_path(args, config, "report", "report.json")
+    fpt_path = _out_path(args, config, "fpt", "fpt.txt") if "fpt" in config.output else None
+    paths = {"verify.boundary_csv": csv_in, "output.report": report_path}
+    if fpt_path is not None:
+        paths["output.fpt"] = fpt_path
+    _check_distinct(paths)
     try:
         ts, bs = io.read_boundary_csv(csv_in)
     except OSError as exc:

@@ -12,13 +12,13 @@ from ifpt import cli
 
 # golden hashes for the two small benchmark configs below; regenerate by
 # running the CLI and hashing boundary.csv if the RNG stream ever changes
-GOLDEN_A_SHA = "8525edc6b47241d43b607af1f81ef61a50a797583579e2a805ae612f14140929"
+GOLDEN_A_SHA = "8f43267267e6afd131f9e7dce3f567dff6f9b8206e78245341dfe1cd0ad154a4"
 GOLDEN_A_ROW1 = "0.03125,inf,0.99999998458274209,1"
-GOLDEN_B_SHA = "9e9b840b6e315adcff9438937c49fbd6551198867311b6e4c44af4f972b4ca09"
+GOLDEN_B_SHA = "0b4f2e930f289ce5be6b2f5701c5d932f2288e996d57cd83db5f876d223b87e5"
 # fpt.txt of a verify run on config B (Poisson counts and the fixed-curve
 # kill) and boundary.csv of config OU (Euler substeps, reflection)
-GOLDEN_B_FPT_SHA = "f2e976a6b7497346cecdcf08bf1619a046d98877f31d50f06c5c817d11a3a48c"
-GOLDEN_OU_SHA = "f580130c46507fc361fa249c09bb9403f6e008a2cd92121aa449e6300363a468"
+GOLDEN_B_FPT_SHA = "de3cca2172e58bd9562ba5aef05aa362b0a628f4fc41fdf07a5cfe72739c05ce"
+GOLDEN_OU_SHA = "4d2687afa54273d2f32b74665e3308256130313995271b3342bcefc759385ecb"
 
 CONFIG_A = {
     "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0},
@@ -205,6 +205,14 @@ class TestCalibrateCommand:
         assert err.startswith("config error: output.report: ") and "is also output.boundary_csv" in err
         assert not (out / "same").exists()
 
+    def test_report_has_survival_gap_within_one_particle(self, tmp_path):
+        rc, out = run_calibrate(tmp_path, CONFIG_A)
+        assert rc == 0
+        gap = json.loads((out / "report.json").read_text())["boundary"]["diagnostics"]["survival_gap_max"]
+        rows = np.loadtxt(out / "boundary.csv", delimiter=",", skiprows=1)
+        assert gap == float(np.max(np.abs(rows[:, 3] - rows[:, 2])))
+        assert 0 < gap <= 1 / CONFIG_A["particles"]
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
     def test_seed_option_out_of_range_exits_2(self, tmp_path, capsys, seed):
         # --seed -1 used to be reduced mod 2**64 and run as 2**64 - 1
@@ -373,6 +381,20 @@ class TestVerifyCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: output.fpt: ")
         assert not (tmp_path / "same").exists()
+
+    @pytest.mark.parametrize("key, name", [("report", "boundary.csv"), ("fpt", "sub/../boundary.csv")])
+    def test_output_naming_the_input_csv_exits_2_before_work(self, tmp_path, capsys, monkeypatch, key, name):
+        # the report used to overwrite the boundary it read, and the run exited 0
+        _, out = run_calibrate(tmp_path, CONFIG_A)
+        before = (out / "boundary.csv").read_bytes()
+        cfg = self._verify_cfg(str(out / "boundary.csv"), tolerance=0.1)
+        cfg["output"] = {key: name}
+        monkeypatch.setattr(cli, "forward_fpt", lambda *a: pytest.fail("simulated before checking outputs"))
+        rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output.{key}: ") and "is also verify.boundary_csv" in err
+        assert (out / "boundary.csv").read_bytes() == before
 
     def test_grid_mismatch_exits_2(self, tmp_path):
         _, out = run_calibrate(tmp_path, CONFIG_A)

@@ -1,5 +1,6 @@
 """Properties of the id-keyed step streams and the Poisson inversion."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from scipy.special import ndtr, ndtri
+
 from ifpt.processes import _poisson_cdf, poisson_jumps
-from ifpt.rng import StreamKeys, keyed_uniforms
+from ifpt.rng import (
+    _CHUNK,
+    _F_LOW,
+    _F_RISE,
+    _RATIO,
+    _X,
+    ZIGGURAT_R,
+    ZIGGURAT_V,
+    StreamKeys,
+    _words,
+    _ziggurat,
+    keyed_normals,
+    keyed_uniforms,
+)
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -70,6 +86,84 @@ class TestKeyedDraws:
         z = StreamKeys(seed=20261018, step_index=0, ids=np.arange(n), n_total=n).normals()
         assert np.all(np.isfinite(z))
         assert stats.kstest(z, "norm").pvalue > 1e-3
+
+
+PINNED_NORMALS = [
+    "-0x1.10a60003eef29p+1", "0x1.1b5dde72a34bbp+1", "0x1.f7faf0529f8aep-1", "-0x1.ce7097e9d741ep+0",
+    "-0x1.3e75bf67dba56p-3", "-0x1.1348f0f84e1cap+1", "0x1.b57105834c916p+0", "-0x1.4c670aaba3fb1p-5",
+    "-0x1.eb0ce9f4881fep-1", "0x1.7be75587ae11ep+0", "-0x1.fbb63082f3336p-1", "-0x1.8add92a501638p-2",
+    "0x1.3c5162d1b63f1p-1", "-0x1.fdd19ce68f6f2p+1", "0x1.e308d9da70fe9p+0", "0x1.ee90e8cab073fp-5",
+]
+
+
+def first_pass(key, ids):
+    """(layer, x, reject) of each id's first ziggurat draw."""
+    z = (ids + 1).astype(np.uint64)
+    _words(key, z, np.empty_like(z))
+    layer, reject = np.empty(len(ids), dtype=np.intp), np.empty(len(ids), dtype=bool)
+    x = _ziggurat(z, layer, np.empty(len(ids)), np.empty(len(ids)), reject)
+    return layer, x, reject
+
+
+class TestZiggurat:
+    def test_layers_have_equal_area(self):
+        f = lambda x: np.exp(-0.5 * x * x)  # noqa: E731
+        edges = np.append(_X, 0.0)
+        areas = edges[1:-1] * (f(edges[2:]) - f(edges[1:-1]))
+        # the base strip: the rectangle under f(R) plus the tail beyond R
+        base = ZIGGURAT_R * f(ZIGGURAT_R) + math.sqrt(2 * math.pi) * ndtr(-ZIGGURAT_R)
+        assert np.allclose(np.append(areas, base), ZIGGURAT_V, rtol=1e-8, atol=0)
+        assert _X[0] * f(ZIGGURAT_R) == pytest.approx(ZIGGURAT_V, rel=1e-15)
+
+    def test_tail_frequency_and_law(self):
+        # 10^7 draws in slices of 10^6 ids; 2 Phi(-R) is about 2.6e-4
+        n, tail = 10**7, []
+        for a in range(0, n, 10**6):
+            z = keyed_normals(0x7A11, np.arange(a, a + 10**6))
+            tail.append(z[np.abs(z) > ZIGGURAT_R])
+        tail = np.concatenate(tail)
+        p = 2 * ndtr(-ZIGGURAT_R)
+        assert abs(len(tail) / n - p) <= 5 * math.sqrt(p * (1 - p) / n)
+        # beyond R, |z| has the normal law conditioned on the tail
+        law = lambda x: 1 - ndtr(-x) / ndtr(-ZIGGURAT_R)  # noqa: E731
+        assert stats.kstest(np.abs(tail), law).pvalue > 1e-3
+
+    def test_chi_square_over_64_equiprobable_bins(self):
+        n = 10**6
+        z = keyed_normals(0xB145, np.arange(n))
+        counts = np.bincount(np.searchsorted(ndtri(np.arange(1, 64) / 64), z), minlength=64)
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_slow_path_ids_draw_alone_and_across_the_chunk_boundary(self):
+        key = 0x51DE
+        ids = np.arange(3 * _CHUNK)
+        full = keyed_normals(key, ids)
+        layer, x, reject = first_pass(key, ids)
+        tail = ids[reject & (layer == 0)]
+        redrawn = ids[reject & (layer > 0) & (full != x)]
+        assert np.all(np.abs(full[tail]) > ZIGGURAT_R)
+        # a first draw is redrawn with probability 1 - sqrt(pi / 2) / (256 V)
+        p = 1 - math.sqrt(math.pi / 2) / (256 * ZIGGURAT_V)
+        assert len(tail) and abs(len(redrawn) / len(ids) - p) <= 5 * math.sqrt(p * (1 - p) / len(ids))
+        slow = np.sort(np.concatenate([tail, redrawn]))
+        assert np.array_equal(keyed_normals(key, slow), full[slow])
+        for i in slow[:: max(1, len(slow) // 20)]:
+            assert keyed_normals(key, ids[i : i + 1])[0] == full[i]
+        # a window across the chunk boundary, with the slow ids behind it
+        window = np.concatenate([ids[_CHUNK - 300 : _CHUNK + 300], slow])
+        assert np.array_equal(keyed_normals(key, window), full[window])
+
+    def test_first_normals_are_pinned(self):
+        # the exact bits of the first 16 normals of a key whose ids 5, 9 and
+        # 13 pass the wedge test, are redrawn and take the tail
+        z = keyed_normals(6471, np.arange(16))
+        assert [v.hex() for v in z.tolist()] == PINNED_NORMALS
+        # the layer tables come from math.exp/log/sqrt at import: if the
+        # pin above fails, this one tells whether the libm is the cause
+        h = hashlib.sha256()
+        for table in (_X, _RATIO, _F_LOW, _F_RISE):
+            h.update(table.tobytes())
+        assert h.hexdigest() == "d390b82269da6faa15692f61c945c74bbd19846dc56af7a846565d48a2f0d16b"
 
 
 class TestPoissonCounts:
