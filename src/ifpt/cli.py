@@ -75,33 +75,36 @@ def _echo_model(config: RunConfig) -> dict:
 
 
 def _out_path(args, config: RunConfig, key: str, default: str) -> str:
-    """The path output.<key> names; called before any work, so a path that
-    cannot be written exits 2 instead of failing after the run."""
+    """The path output.<key> names, under the output directory unless absolute."""
     name = config.output.get(key, default)
     if not name:
         raise ConfigError(f"output.{key}", "empty path")
-    path = name if os.path.isabs(name) else os.path.join(args.out, name)
-    parent = os.path.dirname(path) or "."
-    try:
-        os.makedirs(parent, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output.{key}", f"cannot create directory {parent!r}: {exc.strerror}") from exc
-    if os.path.isdir(path):
-        raise ConfigError(f"output.{key}", f"{path!r} is a directory")
-    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        raise ConfigError(f"output.{key}", f"{path!r} is not writable")
-    return path
+    return name if os.path.isabs(name) else os.path.join(args.out, name)
 
 
-def _check_distinct(paths: dict[str, str]) -> None:
-    """No two config keys of one command (an input first, then its outputs)
-    may name one file; checked before any work.  The error names the later key."""
+def _check_paths(paths: dict[str, str]) -> None:
+    """Checks before any work, so that a bad path exits 2 instead of failing
+    after the run.  No two config keys of one command (an input first, then
+    its outputs) may name one file; the error names the later key.  Only then
+    are the output directories created, and each output must be writable."""
     seen = {}
     for key, path in paths.items():
         real = os.path.realpath(path)
         if real in seen:
             raise ConfigError(key, f"{path!r} is also {seen[real]}")
         seen[real] = key
+    for key, path in paths.items():
+        if not key.startswith("output."):
+            continue
+        parent = os.path.dirname(path) or "."
+        try:
+            os.makedirs(parent, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(key, f"cannot create directory {parent!r}: {exc.strerror}") from exc
+        if os.path.isdir(path):
+            raise ConfigError(key, f"{path!r} is a directory")
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise ConfigError(key, f"{path!r} is not writable")
 
 
 def cmd_calibrate(args) -> int:
@@ -112,7 +115,7 @@ def cmd_calibrate(args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     csv_path = _out_path(args, config, "boundary_csv", "boundary.csv")
     report_path = _out_path(args, config, "report", "report.json")
-    _check_distinct({"output.boundary_csv": csv_path, "output.report": report_path})
+    _check_paths({"output.boundary_csv": csv_path, "output.report": report_path})
     opts = CalibrationOptions(particles=config.particles, grid=config.grid, seed=seed)
     t0 = time.perf_counter()
     est = calibrate(config.process, config.initial, config.target, opts)
@@ -145,7 +148,7 @@ def cmd_verify(args) -> int:
     paths = {"verify.boundary_csv": csv_in, "output.report": report_path}
     if fpt_path is not None:
         paths["output.fpt"] = fpt_path
-    _check_distinct(paths)
+    _check_paths(paths)
     try:
         ts, bs = io.read_boundary_csv(csv_in)
     except OSError as exc:
@@ -192,6 +195,7 @@ def cmd_compare(args) -> int:
     (left, right, slack) = config.compare
     seed = args.seed if args.seed is not None else config.seed
     report_path = _out_path(args, config, "report", "report.json")
+    _check_paths({"output.report": report_path})
     opts = CalibrationOptions(particles=config.particles, grid=config.grid, seed=seed)
     hazard = check_hazard_order(left[2], right[2], config.grid)
     est1 = calibrate(left[0], left[1], left[2], opts)
@@ -220,6 +224,8 @@ def cmd_classify(args) -> int:
     require(config, "process")
     if not isinstance(config.process, Levy):
         raise ConfigError("process", "classify needs a levy process")
+    report_path = _out_path(args, config, "report", "report.json")
+    _check_paths({"output.report": report_path})
     cls = classify_levy(config.process.triple)
     existence = (
         "yes (diffuse marginals)"
@@ -242,7 +248,7 @@ def cmd_classify(args) -> int:
         "uniqueness": cls.uniqueness.value,
         "i_xi": cls.i_xi_description,
     }
-    io.write_json(_out_path(args, config, "report", "report.json"), report)
+    io.write_json(report_path, report)
     print(f"existence: {existence}")
     print(f"uniqueness: {uniq}")
     return EXIT_OK

@@ -244,15 +244,6 @@ COEFFICIENTS = {
 }
 
 
-def build_target(spec, path: str = "target", base_dir: str = ".") -> TargetDistribution:
-    """A target law from its spec; a law no xi > 0 can have is a ConfigError at path."""
-    target = _build(spec, path, "kind", TARGETS, base_dir)
-    problems = target.validate()
-    if problems:
-        raise ConfigError(path, problems[0])
-    return target
-
-
 def build_grid(spec: dict, path: str = "grid") -> TimeGrid:
     _check_keys(spec, path, {"t_start", "dt", "steps"})
     t_start = _number(spec["t_start"], f"{path}.t_start")
@@ -301,7 +292,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
 
     process = _build(raw["process"], "process", "kind", PROCESSES) if "process" in raw else None
     initial = _build(raw["initial"], "initial", "kind", INITIALS, base_dir) if "initial" in raw else None
-    target = build_target(raw["target"], base_dir=base_dir) if "target" in raw else None
+    target = _build(raw["target"], "target", "kind", TARGETS, base_dir) if "target" in raw else None
     grid = build_grid(raw["grid"]) if "grid" in raw else None
 
     particles = None
@@ -345,7 +336,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                 (
                     _build(side["process"], f"{spath}.process", "kind", PROCESSES),
                     _build(side["initial"], f"{spath}.initial", "kind", INITIALS, base_dir),
-                    build_target(side["target"], f"{spath}.target", base_dir),
+                    _build(side["target"], f"{spath}.target", "kind", TARGETS, base_dir),
                 )
             )
         slack = _number(c["slack"], "compare.slack")

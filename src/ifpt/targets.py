@@ -1,9 +1,11 @@
 """Target distributions for the inverse problem: laws of xi > 0.
 
-Each kind exposes exact survival evaluation, the sup-support time and its
-atoms as a (times, masses) pair of arrays.  Defective laws (positive mass
-at +inf, e.g. a hitting law with an upward-drifting boundary) are allowed;
-calibration simply never kills the residual fraction.
+Each kind evaluates its survival function S(t) = P(xi > t) exactly and
+checks its parameters when built, so every object is the law of some
+xi > 0: S(0) = 1, S non-increasing, S in [0, 1].  Defective laws (positive
+mass at +inf, e.g. a hitting law with an upward-drifting boundary, or an
+exponential with rate 0) are allowed; calibration simply never kills the
+residual fraction.  Checks use negated comparisons, so NaN parameters fail.
 """
 
 from __future__ import annotations
@@ -12,67 +14,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 
 class TargetDistribution:
     """Base interface; see the concrete kinds below."""
 
-    t_sup: float = math.inf
-
     def survival(self, t):
         raise NotImplementedError
-
-    def survival_left(self, t):
-        """P(xi >= t); differs from survival only at atoms."""
-        return self.survival(t)
-
-    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, masses) of the atoms, times sorted and distinct."""
-        return np.empty(0), np.empty(0)
-
-    def validate(self) -> list[str]:
-        """Problems that keep this from being the law of some xi > 0; empty when valid."""
-        problems = []
-        ts, ms = self.atoms()
-        # a bad parameter (weibull shape < 0) makes the probes divide by zero
-        with np.errstate(all="ignore"):
-            s0 = float(np.asarray(self.survival(0.0)))
-            horizon = self.t_sup if math.isfinite(self.t_sup) else 50.0
-            probe = np.linspace(0.0, horizon * 1.1 + 1e-9, 257)
-            sv = np.asarray(self.survival(probe), dtype=float)
-            # one vectorized pass: an empirical target has an atom per distinct sample
-            jumps = np.asarray(self.survival_left(ts) - self.survival(ts), dtype=float)
-        # negated comparisons, so that NaN survival values are problems too
-        if not abs(s0 - 1.0) <= 1e-12:
-            problems.append(f"survival at 0 is {s0!r}, xi > 0 requires 1")
-        if np.any(np.diff(sv) > 1e-12):
-            k = int(np.argmax(np.diff(sv)))
-            problems.append(f"survival increases near t={probe[k + 1]!r}")
-        if not np.all((sv >= -1e-12) & (sv <= 1 + 1e-12)):
-            problems.append("survival leaves [0, 1]")
-        for i in np.flatnonzero((ts <= 0) | (np.abs(jumps - ms) > 1e-12)):
-            t, m, jump = float(ts[i]), float(ms[i]), float(jumps[i])
-            if t <= 0:
-                problems.append(f"atom at t={t!r} violates xi > 0 required")
-            else:
-                problems.append(f"atom at t={t!r} has mass {m!r} but jump {jump!r}")
-        if isinstance(self, Mixture):
-            total = sum(w for w, _ in self.components)
-            if abs(total - 1.0) > 1e-12:
-                problems.append(f"weights sum {total!r}")
-            for _, comp in self.components:
-                problems.extend(comp.validate())
-        if isinstance(self, EmpiricalTarget) and self.samples[0] <= 0:
-            problems.append("xi > 0 required: empirical sample <= 0")
-        if isinstance(self, PointMass) and self.t0 <= 0:
-            problems.append("xi > 0 required: point mass at t <= 0")
-        return problems
 
 
 @dataclass(frozen=True)
 class Exponential(TargetDistribution):
     rate: float
+
+    def __post_init__(self):
+        # rate 0 is the fully defective law; rate inf would put xi at 0
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("rate must be >= 0 and finite")
 
     def survival(self, t):
         return np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -82,6 +41,12 @@ class Exponential(TargetDistribution):
 class Weibull(TargetDistribution):
     shape: float
     scale: float
+
+    def __post_init__(self):
+        if not self.shape > 0:
+            raise ValueError("shape must be > 0")
+        if not self.scale > 0:
+            raise ValueError("scale must be > 0")
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
@@ -120,16 +85,21 @@ class InverseGaussianHitting(TargetDistribution):
     gamma: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
+        # an infinite c or gamma leaves inf - inf in the survival formula
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be > 0 and finite")
+        if not abs(self.gamma) < math.inf:
+            raise ValueError("gamma must be finite")
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             rt = np.sqrt(np.maximum(t, 0.0))
+            # the weight exp(-2 gamma c) overflows for gamma c < -354, so the
+            # second term is taken in log space
             cdf = ndtr((-self.c - self.gamma * t) / rt) + np.exp(
-                -2.0 * self.gamma * self.c
-            ) * ndtr((self.gamma * t - self.c) / rt)
+                -2.0 * self.gamma * self.c + log_ndtr((self.gamma * t - self.c) / rt)
+            )
         return np.where(t > 0, 1.0 - cdf, 1.0)
 
 
@@ -137,41 +107,27 @@ class InverseGaussianHitting(TargetDistribution):
 class PointMass(TargetDistribution):
     t0: float
 
-    @property
-    def t_sup(self):
-        return self.t0
+    def __post_init__(self):
+        if not self.t0 > 0:
+            raise ValueError("t0 must be > 0")
 
     def survival(self, t):
         return np.where(np.asarray(t, dtype=float) < self.t0, 1.0, 0.0)
-
-    def survival_left(self, t):
-        return np.where(np.asarray(t, dtype=float) <= self.t0, 1.0, 0.0)
-
-    def atoms(self):
-        return np.array([self.t0], dtype=float), np.array([1.0])
 
 
 @dataclass(frozen=True)
 class Mixture(TargetDistribution):
     components: tuple[tuple[float, TargetDistribution], ...]
 
-    @property
-    def t_sup(self):
-        return max(c.t_sup for _, c in self.components)
+    def __post_init__(self):
+        if not all(w >= 0 for w, _ in self.components):
+            raise ValueError("weights must be >= 0")
+        total = sum(w for w, _ in self.components)
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"sum of weights is {total!r}, not 1")
 
     def survival(self, t):
         return sum(w * c.survival(t) for w, c in self.components)
-
-    def survival_left(self, t):
-        return sum(w * c.survival_left(t) for w, c in self.components)
-
-    def atoms(self):
-        ts, ms = zip(*(c.atoms() for _, c in self.components))
-        times, inverse = np.unique(np.concatenate(ts), return_inverse=True)
-        # bincount adds the masses that share a time in component order;
-        # over no atoms at all it returns an integer array, hence astype
-        masses = np.concatenate([w * m for (w, _), m in zip(self.components, ms)])
-        return times, np.bincount(inverse, weights=masses, minlength=len(times)).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,21 +136,14 @@ class EmpiricalTarget(TargetDistribution):
 
     def __post_init__(self):
         s = np.sort(np.asarray(self.samples, dtype=float))
+        if not s.size:
+            raise ValueError("need at least one sample")
+        # +inf is never-hit mass; NaN fails the comparison
+        if not np.all(s > 0):
+            raise ValueError("samples must be > 0")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
-
-    @property
-    def t_sup(self):
-        return float(self.samples[-1])
 
     def survival(self, t):
         n = len(self.samples)
         return 1.0 - np.searchsorted(self.samples, np.asarray(t, dtype=float), side="right") / n
-
-    def survival_left(self, t):
-        n = len(self.samples)
-        return 1.0 - np.searchsorted(self.samples, np.asarray(t, dtype=float), side="left") / n
-
-    def atoms(self):
-        vals, counts = np.unique(self.samples, return_counts=True)
-        return vals, counts / len(self.samples)

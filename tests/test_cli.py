@@ -144,17 +144,32 @@ class TestCalibrateCommand:
         "target, path, problem",
         [
             # P(xi = 0) = 0.4, which calibrated and exited 0 when unchecked
-            (mixture_of_exponentials(0.3, 0.3), "target", "survival at 0 is 0.6"),
-            (mixture_of_exponentials(0.6, 0.6), "target", "survival at 0 is 1.2"),
-            ({"kind": "weibull", "shape": -1.0, "scale": 1.0}, "target", "survival at 0 is 0.0"),
+            (mixture_of_exponentials(0.3, 0.3), "target", "sum of weights is 0.6, not 1"),
+            (mixture_of_exponentials(0.6, 0.6), "target", "sum of weights is 1.2, not 1"),
+            ({"kind": "weibull", "shape": -1.0, "scale": 1.0}, "target", "shape must be > 0"),
             ({"kind": "mixture", "components": []}, "target.components", "nonempty list"),
-            ({"kind": "exponential", "rate": -1.0}, "target", "survival increases"),
+            ({"kind": "exponential", "rate": -1.0}, "target", "rate must be >= 0"),
+            # survival 1.0001 e^-t - 0.0001 e^-0.9t stays in [0, 1] up to
+            # t = 92.2, so a probe of the law passed it and the run exited 3
+            (
+                {
+                    "kind": "mixture",
+                    "components": [
+                        {"weight": 1.0001, "target": {"kind": "exponential", "rate": 1.0}},
+                        {"weight": -0.0001, "target": {"kind": "exponential", "rate": 0.9}},
+                    ],
+                },
+                "target",
+                "weights must be >= 0",
+            ),
         ],
     )
     def test_invalid_target_law_is_config_error(self, tmp_path, capsys, target, path, problem):
+        # the grid runs past t = 92.2, where the last law's survival turns negative
+        grid = {"t_start": 1.0, "dt": 1.0, "steps": 120}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rc, _ = run_calibrate(tmp_path, dict(CONFIG_A, target=target))
+            rc, _ = run_calibrate(tmp_path, dict(CONFIG_A, target=target, grid=grid))
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ") and problem in err
@@ -204,6 +219,13 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: output.report: ") and "is also output.boundary_csv" in err
         assert not (out / "same").exists()
+
+    def test_clashing_outputs_create_no_directory(self, tmp_path, capsys):
+        # the output directories used to be made before the clash was found
+        rc, out = run_calibrate(tmp_path, dict(CONFIG_A, output={"boundary_csv": "a/b/same", "report": "a/b/same"}))
+        assert rc == 2
+        assert "is also output.boundary_csv" in capsys.readouterr().err
+        assert not (out / "a").exists()
 
     def test_report_has_survival_gap_within_one_particle(self, tmp_path):
         rc, out = run_calibrate(tmp_path, CONFIG_A)

@@ -160,7 +160,6 @@ def test_mixture_target_recursion():
         )
     )
     assert isinstance(cfg.target, Mixture)
-    assert cfg.target.validate() == []
 
 
 def test_compare_section_shape():
@@ -288,9 +287,28 @@ def test_extra_key_rejected_at_its_path(table_name, kind, tmp_path):
         ),
         ("initial", {"kind": "normal", "mean": 0.0, "std": -1.0}, "initial", "std must be > 0"),
         ("initial", {"kind": "uniform", "a": 1.0, "b": 0.5}, "initial", "a must be < b"),
+        # each used to pass only through a probe of the survival function
+        ("target", {"kind": "exponential", "rate": -1.0}, "target", "rate must be >= 0"),
+        ("target", {"kind": "weibull", "shape": 0.0, "scale": 1.0}, "target", "shape must be > 0"),
+        ("target", {"kind": "weibull", "shape": 1.0, "scale": 0.0}, "target", "scale must be > 0"),
+        ("target", {"kind": "point_mass", "t0": 0.0}, "target", "t0 must be > 0"),
+        (
+            "target",
+            {
+                "kind": "mixture",
+                "components": [
+                    {"weight": 1.5, "target": {"kind": "exponential", "rate": 1.0}},
+                    {"weight": -0.5, "target": {"kind": "exponential", "rate": 2.0}},
+                ],
+            },
+            "target",
+            "weights must be >= 0",
+        ),
+        ("target", {"kind": "empirical", "path": "nonpositive.txt"}, "target", "samples must be > 0"),
     ],
 )
 def test_parameter_outside_the_model_rejected_at_its_path(table_name, spec, path, problem, tmp_path):
+    (tmp_path / "nonpositive.txt").write_text("0.5\n0.0\n1.5\n")
     with pytest.raises(ConfigError, match=problem) as err:
         _parse_at(table_name, spec, tmp_path)
     assert err.value.path == path

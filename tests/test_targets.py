@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ifpt.targets import (
     EmpiricalTarget,
@@ -20,14 +20,67 @@ def phi_oracle(x):
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-ANALYTIC_KINDS = [
-    Exponential(1.0),
-    Exponential(0.3),
-    Weibull(1.7, 2.0),
-    LevyHittingLaw(1.0),
-    InverseGaussianHitting(1.0, -0.5),
-    InverseGaussianHitting(1.0, 0.5),
-]
+# a probe grid from 0 across many scales, and every kind with parameters
+# drawn inside its accepted range; mixtures nest drawn components
+PROBE = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 600)))
+POSITIVE = st.floats(1e-6, 1e6)
+LEAF_TARGETS = st.one_of(
+    st.builds(Exponential, st.floats(0.0, 1e6)),
+    st.builds(Weibull, POSITIVE, POSITIVE),
+    st.builds(LevyHittingLaw, POSITIVE),
+    st.builds(InverseGaussianHitting, POSITIVE, st.floats(-1e6, 1e6)),
+    st.builds(PointMass, POSITIVE),
+    st.lists(POSITIVE | st.just(math.inf), min_size=1, max_size=20).map(lambda xs: EmpiricalTarget(np.array(xs))),
+)
+
+
+def normalized_mixture(pairs):
+    total = sum(w for w, _ in pairs)
+    return Mixture(tuple((w / total, c) for w, c in pairs))
+
+
+TARGETS = st.recursive(
+    LEAF_TARGETS,
+    lambda children: st.lists(st.tuples(st.floats(0.0, 1.0), children), min_size=1, max_size=4)
+    .filter(lambda pairs: sum(w for w, _ in pairs) > 0)
+    .map(normalized_mixture),
+    max_leaves=8,
+)
+
+# any parameter at all, valid or not: (constructor, arguments)
+ANY = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def any_mixture(draw):
+    """Weights of any sign; half the time the last one brings the sum to 1,
+    so that only the sign check can reject them."""
+    weights = draw(st.lists(ANY, max_size=3))
+    if draw(st.booleans()):
+        weights.append(1.0 - sum(weights))
+    return Mixture, (tuple((w, draw(LEAF_TARGETS)) for w in weights),)
+
+
+ANY_PARAMETERS = st.one_of(
+    st.tuples(st.just(Exponential), st.tuples(ANY)),
+    st.tuples(st.just(Weibull), st.tuples(ANY, ANY)),
+    st.tuples(st.just(LevyHittingLaw), st.tuples(ANY)),
+    st.tuples(st.just(InverseGaussianHitting), st.tuples(ANY, ANY)),
+    st.tuples(st.just(PointMass), st.tuples(ANY)),
+    st.tuples(st.just(EmpiricalTarget), st.lists(ANY, max_size=5).map(lambda xs: (np.array(xs),))),
+    any_mixture(),
+)
+
+
+def assert_is_law(target):
+    """S(0) = 1, S non-increasing and in [0, 1] on PROBE: the law of some xi > 0."""
+    # overflow to inf is the right limit in these formulas; the CLI ignores it too
+    with np.errstate(over="ignore"):
+        s = np.asarray(target.survival(PROBE), dtype=float)
+        s0 = float(np.asarray(target.survival(0.0)))
+    assert abs(s0 - 1.0) <= 1e-12
+    assert np.all(np.diff(s) <= 1e-12)
+    assert np.all((s >= -1e-12) & (s <= 1 + 1e-12))
 
 
 class TestSurvival:
@@ -73,17 +126,20 @@ class TestSurvival:
                     analytic_bm_linear_cdf(1.0, gamma, s), abs=1e-14
                 )
 
-    def test_non_increasing_for_every_kind(self):
-        probe = np.linspace(0.0, 20.0, 400)
-        kinds = ANALYTIC_KINDS + [
-            PointMass(1.5),
-            Mixture(((0.5, Exponential(1.0)), (0.5, PointMass(0.5)))),
-            EmpiricalTarget(np.array([0.2, 0.7, 0.7, 3.0])),
-        ]
-        for target in kinds:
-            s = np.asarray(target.survival(probe))
-            assert np.all(np.diff(s) <= 1e-15), target
-            assert float(np.asarray(target.survival(0.0))) == 1.0
+    @given(TARGETS)
+    def test_non_increasing_for_every_kind(self, target):
+        assert_is_law(target)
+
+    @settings(max_examples=1000)
+    @given(ANY_PARAMETERS)
+    def test_every_target_that_builds_is_a_law(self, kind_args):
+        # the constructors are the only check a target gets before the run
+        make, args = kind_args
+        try:
+            target = make(*args)
+        except ValueError:
+            return
+        assert_is_law(target)
 
     def test_mixture_is_weighted_sum(self):
         comps = ((0.3, Exponential(2.0)), (0.7, Weibull(1.3, 1.0)))
@@ -91,87 +147,3 @@ class TestSurvival:
         ts = np.linspace(0, 5, 64)
         direct = 0.3 * comps[0][1].survival(ts) + 0.7 * comps[1][1].survival(ts)
         assert np.allclose(mix.survival(ts), direct, atol=1e-15)
-
-
-class TestSupSupportTime:
-    def test_unbounded_kinds(self):
-        assert Exponential(1.0).t_sup == math.inf
-        assert Weibull(2.0, 1.0).t_sup == math.inf
-        assert LevyHittingLaw(1.0).t_sup == math.inf
-
-    def test_point_mass(self):
-        assert PointMass(2.5).t_sup == 2.5
-
-    def test_mixture_takes_sup(self):
-        mix = Mixture(((0.5, Exponential(1.0)), (0.5, PointMass(0.5))))
-        assert mix.t_sup == math.inf
-        mix2 = Mixture(((0.5, PointMass(1.0)), (0.5, PointMass(0.5))))
-        assert mix2.t_sup == 1.0
-
-    def test_empirical(self):
-        assert EmpiricalTarget(np.array([0.5, 2.0, 1.0])).t_sup == 2.0
-
-
-def assert_atoms(target, times, masses):
-    ts, ms = target.atoms()
-    assert ts.dtype == ms.dtype == np.float64
-    np.testing.assert_array_equal(ts, times)
-    np.testing.assert_array_equal(ms, masses)
-
-
-def dict_merged_atoms(components):
-    """Reference merge: a dict keyed by atom time, adding weighted masses in component order."""
-    merged = {}
-    for w, c in components:
-        for t, m in zip(*c.atoms()):
-            merged[t] = merged.get(t, 0.0) + w * m
-    return sorted(merged.items())
-
-
-# few distinct times, so that components share atoms
-ATOM_TIMES = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
-ATOM_COMPONENTS = st.one_of(
-    st.just(Exponential(1.0)),
-    ATOM_TIMES.map(PointMass),
-    st.lists(ATOM_TIMES, min_size=1, max_size=8).map(lambda xs: EmpiricalTarget(np.array(xs))),
-)
-
-
-class TestAtoms:
-    def test_point_mass_atom(self):
-        assert_atoms(PointMass(1.0), [1.0], [1.0])
-
-    def test_mixture_scales_atoms(self):
-        mix = Mixture(((0.5, Exponential(1.0)), (0.5, PointMass(0.5))))
-        assert_atoms(mix, [0.5], [0.5])
-
-    def test_empirical_atoms_with_ties(self):
-        t = EmpiricalTarget(np.array([1.0, 1.0, 2.0, 4.0]))
-        assert_atoms(t, [1.0, 2.0, 4.0], [0.5, 0.25, 0.25])
-
-    def test_mixture_without_atoms(self):
-        assert_atoms(Mixture(((0.5, Exponential(1.0)), (0.5, Weibull(2.0, 1.0)))), [], [])
-
-    @given(st.lists(st.tuples(st.floats(0.01, 1.0), ATOM_COMPONENTS), min_size=1, max_size=5))
-    def test_mixture_merge_matches_dict_merge(self, components):
-        # bit-for-bit: both add the masses of a shared time in component order
-        expected = dict_merged_atoms(components)
-        assert_atoms(Mixture(tuple(components)), [t for t, _ in expected], [m for _, m in expected])
-
-
-class TestValidate:
-    def test_ok(self):
-        assert Exponential(1.0).validate() == []
-        assert Mixture(((0.5, Exponential(1.0)), (0.5, PointMass(0.5)))).validate() == []
-
-    def test_bad_mixture_weights(self):
-        bad = Mixture(((0.6, Exponential(1.0)), (0.6, Exponential(2.0))))
-        assert any("weights sum 1.2" in p for p in bad.validate())
-
-    def test_negative_empirical_sample(self):
-        bad = EmpiricalTarget(np.array([-1.0, 0.5]))
-        assert any("xi > 0 required" in p for p in bad.validate())
-
-    def test_atom_consistency_checked(self):
-        assert PointMass(2.0).validate() == []
-        assert EmpiricalTarget(np.array([0.5, 0.5, 1.5])).validate() == []
