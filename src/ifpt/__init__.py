@@ -6,7 +6,6 @@ process."""
 
 from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid, epigraph_hausdorff
 from .calibrate import (
-    CalibrationOptions,
     EmpiricalInitial,
     NormalInitial,
     PointInitial,

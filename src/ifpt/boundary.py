@@ -23,71 +23,46 @@ class GridError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing positive times; never contains 0.
+    """The times t_start + k*dt for k < steps; never contains 0."""
 
-    Arithmetic grids (t_start + k*dt) carry their descriptor so that time
-    lookups go through index arithmetic instead of float equality.
-    """
-
-    points: np.ndarray
-    t_start: float | None = None
-    dt: float | None = None
+    t_start: float
+    dt: float
+    steps: int
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or len(pts) == 0:
-            raise GridError("grid needs at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise GridError("grid points must be finite")
-        if pts[0] <= 0.0:
-            raise GridError("grid points must be strictly positive")
-        if len(pts) > 1 and not np.all(np.diff(pts) > 0.0):
-            raise GridError("grid points must be strictly increasing")
-        pts.setflags(write=False)
-
-    @classmethod
-    def arithmetic(cls, t_start: float, dt: float, steps: int) -> "TimeGrid":
-        if dt <= 0 or steps < 1:
-            raise GridError("need dt > 0 and steps >= 1")
-        if t_start < dt:
+        # negated comparisons, so NaN fails too
+        if not self.dt > 0:
+            raise GridError("dt must be > 0")
+        if not self.steps >= 1:
+            raise GridError("steps must be >= 1")
+        if not self.t_start >= self.dt:
             # a first point below dt would put 0 inside the first cell
             raise GridError("t_start must be >= dt (grids exclude 0)")
-        pts = t_start + dt * np.arange(steps, dtype=float)
-        return cls(pts, t_start=float(t_start), dt=float(dt))
-
-    @property
-    def is_arithmetic(self) -> bool:
-        return self.dt is not None
+        # in Python floats, so an overflow fails here instead of warning in
+        # numpy; a step count past the float range overflows as well
+        try:
+            last = self.t_start + self.dt * (self.steps - 1)
+        except OverflowError:
+            last = math.inf
+        if not math.isfinite(last):
+            raise GridError("the last grid point must be finite")
+        pts = self.t_start + self.dt * np.arange(self.steps, dtype=float)
+        # dt below the spacing of doubles near t_start repeats a point
+        if not np.all(np.diff(pts) > 0.0):
+            raise GridError("grid points must be strictly increasing")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.steps
 
-    def lookup(self, t: float) -> int | None:
-        """Index of the grid point matching t, or None if t is off-grid."""
-        if not math.isfinite(t):
-            return None
-        if self.is_arithmetic:
-            i = round((t - self.t_start) / self.dt)
-            if i < 0 or i >= len(self.points):
-                return None
-        else:
-            i = int(np.searchsorted(self.points, t))
-            if i == len(self.points) or (
-                i > 0 and abs(t - self.points[i - 1]) < abs(t - self.points[i])
-            ):
-                i -= 1
-            if i < 0:
-                return None
-        ref = self.points[i]
-        if abs(t - ref) <= GRID_RTOL * max(1.0, abs(ref)):
-            return int(i)
-        return None
-
-    def matches(self, other: "TimeGrid") -> bool:
-        return len(self) == len(other) and bool(
+    def matches(self, points) -> bool:
+        """Do the times equal the grid points one for one, each within GRID_RTOL?"""
+        points = np.asarray(points, dtype=float)
+        return len(points) == len(self) and bool(
             np.all(
-                np.abs(self.points - other.points)
+                np.abs(points - self.points)
                 <= GRID_RTOL * np.maximum(1.0, np.abs(self.points))
             )
         )
@@ -121,15 +96,6 @@ class BoundaryCurve:
     def off_grid_value(self) -> float:
         """The fill everywhere off the grid: the upper domain bound."""
         return self.domain_bounds[1]
-
-    def __call__(self, t: float) -> float:
-        """Curve value at time t; the fill value everywhere off the grid."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        idx = self.grid.lookup(t)
-        if idx is None:
-            return self.off_grid_value
-        return float(self.values[idx])
 
 
 def compactify_space(x) -> np.ndarray:

@@ -101,17 +101,6 @@ class EmpiricalInitial(InitialDistribution):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CalibrationOptions:
-    particles: int
-    grid: TimeGrid
-    seed: int
-
-    def __post_init__(self):
-        if self.particles < 2:
-            raise ValueError("need at least 2 particles")
-
-
 def round_half_up(x) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=float) + 0.5).astype(np.int64)
 
@@ -197,11 +186,13 @@ def calibrate(
     model,
     initial: InitialDistribution,
     target: TargetDistribution,
-    opts: CalibrationOptions,
+    grid: TimeGrid,
+    n: int,
+    seed: int,
 ) -> BoundaryEstimate:
-    """Solve the inverse problem by quantile killing along the grid."""
-    grid = opts.grid
-    n = opts.particles
+    """Solve the inverse problem by quantile killing of n particles along the grid."""
+    if n < 2:
+        raise ValueError("need at least 2 particles")
     lo, hi = model.state_bounds
 
     s_target = np.asarray(target.survival(grid.points), dtype=float)
@@ -215,7 +206,7 @@ def calibrate(
     values = np.empty(len(grid))
     achieved = np.empty(len(grid))
     diag = Diagnostics()
-    for k, _, ens in evolve(model, initial, grid, n, opts.seed, diag):
+    for k, _, ens in evolve(model, initial, grid, n, seed, diag):
         alive_count = len(ens.ids)
         level, idx = _select_kills(ens.x, int(m[k]))
         ens.remove(idx)
@@ -247,7 +238,7 @@ def calibrate(
         survival_target=s_target,
         survival_achieved=achieved,
         particles=n,
-        seed=opts.seed,
+        seed=seed,
         diagnostics=diagnostics,
     )
 
@@ -258,7 +249,8 @@ def refine_and_diagnose(
     target: TargetDistribution,
     base_grid: TimeGrid,
     levels: int,
-    opts: CalibrationOptions,
+    n: int,
+    seed: int,
 ) -> tuple[list[BoundaryEstimate], list[float]]:
     """Calibrate on dyadic refinements of the grid with independent sub-seeds.
 
@@ -268,19 +260,14 @@ def refine_and_diagnose(
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if not base_grid.is_arithmetic or base_grid.t_start != base_grid.dt:
+    if base_grid.t_start != base_grid.dt:
         raise CalibrationError("refinement needs a dyadic grid: t_start == dt")
     estimates = []
     distances = []
     for j in range(levels):
         dt = base_grid.dt / 2**j
-        grid = TimeGrid.arithmetic(dt, dt, len(base_grid) * 2**j)
-        level_opts = CalibrationOptions(
-            particles=opts.particles,
-            grid=grid,
-            seed=derive_seed(opts.seed, 0x7E, j),
-        )
-        estimates.append(calibrate(model, initial, target, level_opts))
+        grid = TimeGrid(dt, dt, len(base_grid) * 2**j)
+        estimates.append(calibrate(model, initial, target, grid, n, derive_seed(seed, 0x7E, j)))
         if j:
             distances.append(
                 epigraph_hausdorff(estimates[-2].curve, estimates[-1].curve, HAUSDORFF_RESOLUTION)

@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from . import io
-from .boundary import BoundaryCurve, TimeGrid
-from .calibrate import CalibrationOptions, calibrate
+from .boundary import BoundaryCurve
+from .calibrate import calibrate
 from .config import ConfigError, RunConfig, load_config, parse_seed, require
 from .orders import check_hazard_order
 from .processes import Levy, StateSpaceError, classify_levy
@@ -116,9 +116,8 @@ def cmd_calibrate(args) -> int:
     csv_path = _out_path(args, config, "boundary_csv", "boundary.csv")
     report_path = _out_path(args, config, "report", "report.json")
     _check_paths({"output.boundary_csv": csv_path, "output.report": report_path})
-    opts = CalibrationOptions(particles=config.particles, grid=config.grid, seed=seed)
     t0 = time.perf_counter()
-    est = calibrate(config.process, config.initial, config.target, opts)
+    est = calibrate(config.process, config.initial, config.target, config.grid, config.particles, seed)
     elapsed = time.perf_counter() - t0
 
     io.write_estimate_csv(csv_path, est)
@@ -153,10 +152,12 @@ def cmd_verify(args) -> int:
         ts, bs = io.read_boundary_csv(csv_in)
     except OSError as exc:
         raise ConfigError("verify.boundary_csv", f"cannot read {csv_in!r}: {exc.strerror}") from exc
-    grid = config.grid
-    if len(ts) != len(grid) or not grid.matches(TimeGrid(ts)):
+    if not config.grid.matches(ts):
         raise io.CsvFormatError("boundary CSV grid does not match the config grid")
-    curve = BoundaryCurve(grid, bs, domain_bounds=config.process.state_bounds)
+    try:
+        curve = BoundaryCurve(config.grid, bs, domain_bounds=config.process.state_bounds)
+    except ValueError as exc:
+        raise io.CsvFormatError(f"boundary CSV: {exc}") from exc
     seed = args.seed if args.seed is not None else v["seed"]
     sample = forward_fpt(config.process, config.initial, curve, v["samples"], seed)
     ks, witness = ks_statistic(sample, config.target)
@@ -196,10 +197,9 @@ def cmd_compare(args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     report_path = _out_path(args, config, "report", "report.json")
     _check_paths({"output.report": report_path})
-    opts = CalibrationOptions(particles=config.particles, grid=config.grid, seed=seed)
     hazard = check_hazard_order(left[2], right[2], config.grid)
-    est1 = calibrate(left[0], left[1], left[2], opts)
-    est2 = calibrate(right[0], right[1], right[2], opts)
+    est1 = calibrate(*left, config.grid, config.particles, seed)
+    est2 = calibrate(*right, config.grid, config.particles, seed)
     report_cmp = compare_boundaries(est1, est2, slack)
     report = {
         "command": "compare",

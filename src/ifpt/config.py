@@ -252,7 +252,7 @@ def build_grid(spec: dict, path: str = "grid") -> TimeGrid:
     if t_start < dt:
         raise ConfigError(f"{path}.t_start", "t_start must be >= dt (grids exclude 0)")
     try:
-        return TimeGrid.arithmetic(t_start, dt, steps)
+        return TimeGrid(t_start, dt, steps)
     except GridError as exc:
         raise ConfigError(path, str(exc)) from exc
 

@@ -86,10 +86,14 @@ def write_fpt_sample(path, sample: FptSample):
 
 
 def grid_document(grid: TimeGrid) -> dict:
-    doc = {"points": len(grid), "t_first": float(grid.points[0]), "t_last": float(grid.points[-1])}
-    if grid.is_arithmetic:
-        doc.update({"t_start": grid.t_start, "dt": grid.dt, "steps": len(grid)})
-    return doc
+    return {
+        "points": len(grid),
+        "t_first": float(grid.points[0]),
+        "t_last": float(grid.points[-1]),
+        "t_start": grid.t_start,
+        "dt": grid.dt,
+        "steps": grid.steps,
+    }
 
 
 def estimate_document(est: BoundaryEstimate) -> dict:

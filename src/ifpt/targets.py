@@ -90,6 +90,10 @@ class InverseGaussianHitting(TargetDistribution):
             raise ValueError("c must be > 0 and finite")
         if not abs(self.gamma) < math.inf:
             raise ValueError("gamma must be finite")
+        # past this the survival's log weight -2 gamma c is +inf, and inf - inf
+        # puts NaN in it; -inf (a large upward drift) is the right limit
+        if not -2.0 * self.gamma * self.c < math.inf:
+            raise ValueError("-2 * gamma * c must not overflow a double")
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)

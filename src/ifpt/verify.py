@@ -100,7 +100,7 @@ def compare_boundaries(b1: BoundaryEstimate, b2: BoundaryEstimate, slack: float 
     if not slack >= 0:
         raise ValueError("slack must be >= 0")
     g1, g2 = b1.curve.grid, b2.curve.grid
-    if not g1.matches(g2):
+    if not g1.matches(g2.points):
         raise GridMismatchError("boundary grids differ")
     v1, v2 = b1.curve.values, b2.curve.values
     # violation margin; same-signed infinities compare equal (margin 0)

@@ -17,7 +17,6 @@ from scipy.special import ndtr
 from ifpt import cli, io
 from ifpt.boundary import TimeGrid
 from ifpt.calibrate import (
-    CalibrationOptions,
     PointInitial,
     UniformInitial,
     _select_kills,
@@ -158,12 +157,14 @@ def test_criterion_04_linear_boundary_inversion():
         abs(analytic_bm_linear_cdf(1.0, 0.5, t) - mc) for t, mc in LINEAR_MC.items()
     )
     assert worst_gap <= 0.005, "closed form disagrees with the path oracle"
-    grid = TimeGrid.arithmetic(1 / 512, 1 / 512, 1024)
+    grid = TimeGrid(1 / 512, 1 / 512, 1024)
     est = calibrate(
         BrownianDrift(0.0, 1.0),
         PointInitial(0.0),
         InverseGaussianHitting(1.0, 0.5),
-        CalibrationOptions(particles=200_000, grid=grid, seed=4444),
+        grid,
+        200_000,
+        4444,
     )
     mask = grid.points >= 0.1
     dev = float(np.max(np.abs(est.curve.values[mask] - (1.0 + 0.5 * grid.points[mask]))))
@@ -175,12 +176,11 @@ def test_criterion_04_linear_boundary_inversion():
 
 
 def test_criterion_05_comparison_principle():
-    grid = TimeGrid.arithmetic(1 / 256, 1 / 256, 512)
+    grid = TimeGrid(1 / 256, 1 / 256, 512)
     hazard = check_hazard_order(Exponential(2.0), Exponential(1.0), grid)
     assert hazard.holds, "hazard-rate order hypothesis failed"
-    opts = CalibrationOptions(particles=50_000, grid=grid, seed=606)
-    b1 = calibrate(BrownianDrift(0.0, 1.0), PointInitial(0.0), Exponential(2.0), opts)
-    b2 = calibrate(BrownianDrift(0.0, 1.0), PointInitial(0.5), Exponential(1.0), opts)
+    b1 = calibrate(BrownianDrift(0.0, 1.0), PointInitial(0.0), Exponential(2.0), grid, 50_000, 606)
+    b2 = calibrate(BrownianDrift(0.0, 1.0), PointInitial(0.5), Exponential(1.0), grid, 50_000, 606)
     rep = compare_boundaries(b1, b2, slack=0.0)
     frac = float(np.mean(b1.curve.values <= b2.curve.values))
     report_line(5, rep.holds and frac == 1.0, f"b1 <= b2 at {frac:.2%} of grid points, slack 0")
@@ -243,12 +243,14 @@ def test_criterion_07_levy_simulator_fidelity():
 def test_criterion_08_survival_exactness_with_atoms():
     n = 100_000
     target = Mixture(((0.5, Exponential(1.0)), (0.5, PointMass(0.5))))
-    grid = TimeGrid.arithmetic(1 / 64, 1 / 64, 64)
+    grid = TimeGrid(1 / 64, 1 / 64, 64)
     est = calibrate(
         BrownianDrift(0.0, 1.0),
         PointInitial(0.0),
         target,
-        CalibrationOptions(particles=n, grid=grid, seed=55),
+        grid,
+        n,
+        55,
     )
     k = int(np.flatnonzero(np.isclose(grid.points, 0.5))[0])
     alive = int(round(est.survival_achieved[k] * n))
@@ -259,12 +261,14 @@ def test_criterion_08_survival_exactness_with_atoms():
 
 
 def test_criterion_09_degenerate_point_mass():
-    grid = TimeGrid.arithmetic(1 / 8, 1 / 8, 16)
+    grid = TimeGrid(1 / 8, 1 / 8, 16)
     est = calibrate(
         BrownianDrift(0.0, 1.0),
         PointInitial(0.0),
         PointMass(1.0),
-        CalibrationOptions(particles=5000, grid=grid, seed=3),
+        grid,
+        5000,
+        3,
     )
     before = grid.points < 1.0
     t_star = float(grid.points[~before][0])
@@ -285,14 +289,16 @@ def test_criterion_10_monotone_boundary_subordinator_regime():
         "discard",
         0.01,
     )
-    grid = TimeGrid.arithmetic(1 / 128, 1 / 128, 256)
+    grid = TimeGrid(1 / 128, 1 / 128, 256)
     values = []
     for seed in (11, 12, 13, 14):
         est = calibrate(
             model,
             UniformInitial(0.0, 1.0),
             Exponential(1.0),
-            CalibrationOptions(particles=100_000, grid=grid, seed=seed),
+            grid,
+            100_000,
+            seed,
         )
         values.append(est.curve.values)
     values = np.array(values)

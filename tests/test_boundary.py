@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,64 +12,85 @@ from ifpt.boundary import (
     _raster_rows,
     epigraph_hausdorff,
 )
+from ifpt.config import ConfigError, parse_config
 
 INF = math.inf
 
 
-def curve(points, values):
-    return BoundaryCurve(TimeGrid(np.asarray(points, dtype=float)), values)
+def curve(t_start, dt, values):
+    return BoundaryCurve(TimeGrid(t_start, dt, len(values)), values)
+
+
+# (t_start, dt, steps) that no grid may take: dt <= 0, no step, 0 inside the
+# first cell, a step below the spacing of doubles, an overflowing last point
+# or step count
+BAD_GRIDS = {
+    "dt-zero": (1.0, 0.0, 4),
+    "dt-negative": (1.0, -1.0, 4),
+    "no-steps": (1.0, 1.0, 0),
+    "t_start-below-dt": (0.001, 0.01, 4),
+    "repeated-point": (1e17, 1.0, 4),
+    "last-point-overflows": (1e308, 1e308, 3),
+    "steps-past-float-range": (1.0, 1.0, 10**400),
+}
 
 
 class TestTimeGrid:
+    def test_points(self):
+        g = TimeGrid(0.5, 0.25, 3)
+        assert list(g.points) == [0.5, 0.75, 1.0]
+        assert len(g) == 3
+
     def test_rejects_zero_and_negative(self):
-        with pytest.raises(GridError):
-            TimeGrid(np.array([0.0, 1.0]))
-        with pytest.raises(GridError):
-            TimeGrid(np.array([-1.0, 1.0]))
+        with pytest.raises(GridError, match="dt"):
+            TimeGrid(1.0, 0.0, 4)
+        with pytest.raises(GridError, match="dt"):
+            TimeGrid(1.0, -1.0, 4)
 
     def test_rejects_non_increasing(self):
-        with pytest.raises(GridError):
-            TimeGrid(np.array([1.0, 1.0]))
-        with pytest.raises(GridError):
-            TimeGrid(np.array([2.0, 1.0]))
-
-    def test_arithmetic_lookup_snaps(self):
-        g = TimeGrid.arithmetic(1 / 512, 1 / 512, 1024)
-        t = g.points[777]
-        assert g.lookup(t) == 777
-        assert g.lookup(t + t * 1e-14) == 777
-        assert g.lookup(t + 0.4 / 512) is None
-        assert g.lookup(0.0) is None
-        assert g.lookup(5.0) is None
-
-    def test_explicit_lookup(self):
-        g = TimeGrid(np.array([0.5, 1.3, 2.0]))
-        assert g.lookup(1.3) == 1
-        assert g.lookup(1.3 * (1 + 1e-13)) == 1
-        assert g.lookup(1.0) is None
+        # 1e17 + 1 rounds back to 1e17
+        with pytest.raises(GridError, match="increasing"):
+            TimeGrid(1e17, 1.0, 4)
 
     def test_arithmetic_requires_t_start_at_least_dt(self):
-        with pytest.raises(GridError):
-            TimeGrid.arithmetic(0.001, 0.01, 4)
+        with pytest.raises(GridError, match="t_start"):
+            TimeGrid(0.001, 0.01, 4)
+
+    @pytest.mark.parametrize("spec", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+    def test_bad_grid_fails_without_a_warning(self, spec):
+        cfg = {"grid": dict(zip(("t_start", "dt", "steps"), spec))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError):
+                TimeGrid(*spec)
+            with pytest.raises(ConfigError) as exc:
+                parse_config(cfg)
+        assert exc.value.path.split(".")[0] == "grid"
+
+    def test_matches_within_rtol(self):
+        g = TimeGrid(1 / 512, 1 / 512, 1024)
+        assert g.matches(g.points * (1 + 1e-14))
+        assert not g.matches(g.points + 0.4 / 512)
+        assert not g.matches(g.points[:-1])
+        for bad in (math.nan, math.inf):
+            ts = g.points.copy()
+            ts[777] = bad
+            assert not g.matches(ts)
 
 
 class TestEvaluate:
-    def test_lookup_on_grid(self):
-        c = curve([1.0], [0.5])
-        assert c(1.0) == 0.5
-
     def test_off_grid_is_fill(self):
-        c = curve([1.0], [0.5])
-        assert c(0.7) == INF
+        assert curve(1.0, 1.0, [0.5]).off_grid_value == INF
 
     def test_degenerate_all_minus_inf(self):
-        c = curve([0.5, 1.0], [-INF, -INF])
-        assert c(0.5) == -INF
-        assert c(1.0) == -INF
+        c = curve(0.5, 0.5, [-INF, -INF])
+        assert list(c.values) == [-INF, -INF]
+        assert c.off_grid_value == INF
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            curve([1.0], [0.0])(-0.1)
+
+def random_grid_curve(rng, values):
+    dt = rng.uniform(0.05, 1.25)
+    return curve(rng.uniform(dt, 5.0), dt, values)
 
 
 def brute_force_hausdorff(a, b, res):
@@ -90,19 +112,19 @@ def brute_force_hausdorff(a, b, res):
 
 class TestEpigraphHausdorff:
     def test_identical_curves(self):
-        c = curve([0.5, 1.0], [0.2, 0.4])
+        c = curve(0.5, 0.5, [0.2, 0.4])
         assert epigraph_hausdorff(c, c, 32) == 0.0
 
     def test_equal_zero_curves(self):
-        a = curve([0.5, 1.0], [0.0, 0.0])
-        b = curve([0.5, 1.0], [0.0, 0.0])
+        a = curve(0.5, 0.5, [0.0, 0.0])
+        b = curve(0.5, 0.5, [0.0, 0.0])
         assert epigraph_hausdorff(a, b, 32) == 0.0
 
     def test_zero_vs_top_edge(self):
         # value derived from the brute-force lattice oracle: the gap between
         # the half-plane above phi(0) in the t=1 column and the top edge
-        a = curve([1.0], [0.0])
-        b = curve([1.0], [INF])
+        a = curve(1.0, 1.0, [0.0])
+        b = curve(1.0, 1.0, [INF])
         d = epigraph_hausdorff(a, b, 64)
         assert d == pytest.approx(31.0 / 63.0)
         assert d == pytest.approx(brute_force_hausdorff(a, b, 64))
@@ -111,14 +133,11 @@ class TestEpigraphHausdorff:
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = int(rng.integers(1, 6))
-            pts = np.sort(rng.uniform(0.05, 5.0, n)) + np.arange(n) * 1e-3
             vals = rng.uniform(-3, 3, n)
             vals[rng.random(n) < 0.2] = INF
             vals[rng.random(n) < 0.2] = -INF
-            a = curve(pts, vals)
-            m = int(rng.integers(1, 6))
-            pts2 = np.sort(rng.uniform(0.05, 5.0, m)) + np.arange(m) * 1e-3
-            b = curve(pts2, rng.uniform(-3, 3, m))
+            a = random_grid_curve(rng, vals)
+            b = random_grid_curve(rng, rng.uniform(-3, 3, int(rng.integers(1, 6))))
             assert epigraph_hausdorff(a, b, 16) == pytest.approx(
                 brute_force_hausdorff(a, b, 16), abs=1e-12
             )
@@ -128,9 +147,7 @@ class TestEpigraphHausdorff:
         for _ in range(40):
             cs = []
             for _ in range(3):
-                n = int(rng.integers(1, 5))
-                pts = np.sort(rng.uniform(0.05, 4.0, n)) + np.arange(n) * 1e-3
-                cs.append(curve(pts, rng.uniform(-2, 2, n)))
+                cs.append(random_grid_curve(rng, rng.uniform(-2, 2, int(rng.integers(1, 5)))))
             dab = epigraph_hausdorff(cs[0], cs[1], 24)
             dba = epigraph_hausdorff(cs[1], cs[0], 24)
             dbc = epigraph_hausdorff(cs[1], cs[2], 24)
@@ -140,7 +157,7 @@ class TestEpigraphHausdorff:
             assert dac <= dab + dbc + 1e-12
 
     def test_resolution_floor(self):
-        c = curve([1.0], [0.0])
+        c = curve(1.0, 1.0, [0.0])
         with pytest.raises(ValueError):
             epigraph_hausdorff(c, c, 1)
 
@@ -148,30 +165,30 @@ class TestEpigraphHausdorff:
 class TestBoundaryCurveInvariants:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            BoundaryCurve(TimeGrid(np.array([1.0, 2.0])), [0.0])
+            BoundaryCurve(TimeGrid(1.0, 1.0, 2), [0.0])
 
     def test_values_must_lie_in_domain(self):
-        g = TimeGrid(np.array([1.0]))
-        with pytest.raises(ValueError):
-            BoundaryCurve(g, [2.0], domain_bounds=(0.0, 1.0))
-        assert BoundaryCurve(g, [0.5], domain_bounds=(0.0, 1.0))(0.5) == 1.0
+        g = TimeGrid(1.0, 1.0, 1)
+        for bad in (2.0, -0.5, math.nan):
+            with pytest.raises(ValueError):
+                BoundaryCurve(g, [bad], domain_bounds=(0.0, 1.0))
+        assert BoundaryCurve(g, [0.5], domain_bounds=(0.0, 1.0)).off_grid_value == 1.0
 
     def test_eval_off_grid_dominates_neighbors(self):
         # lower semicontinuity: the fill is the domain maximum
-        c = curve([0.5, 1.0], [0.2, 0.4])
-        mid = c(0.75)
-        assert mid >= max(c.values)
+        c = curve(0.5, 0.5, [0.2, 0.4])
+        assert c.off_grid_value >= max(c.values)
 
 
 class TestBoundaryEstimateInvariants:
     def test_target_must_be_non_increasing(self):
-        g = TimeGrid(np.array([1.0, 2.0]))
+        g = TimeGrid(1.0, 1.0, 2)
         c = BoundaryCurve(g, [0.0, 0.0])
         with pytest.raises(ValueError):
             BoundaryEstimate(c, [0.5, 0.7], [0.5, 0.7], particles=10, seed=0)
 
     def test_alignment(self):
-        g = TimeGrid(np.array([1.0, 2.0]))
+        g = TimeGrid(1.0, 1.0, 2)
         c = BoundaryCurve(g, [0.0, 0.0])
         with pytest.raises(ValueError):
             BoundaryEstimate(c, [1.0], [1.0], particles=10, seed=0)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ifpt.boundary import TimeGrid
 from ifpt.calibrate import (
     CalibrationError,
-    CalibrationOptions,
     EmpiricalInitial,
     Ensemble,
     NormalInitial,
@@ -91,7 +90,9 @@ class TestCalibrationStep:
                 BrownianDrift(0, 1),
                 PointInitial(0.0),
                 AboveOne(),
-                CalibrationOptions(particles=10, grid=small_grid(), seed=0),
+                small_grid(),
+                10,
+                0,
             )
 
 
@@ -129,17 +130,19 @@ class TestRoundHalfUp:
 
 
 def small_grid():
-    return TimeGrid.arithmetic(1 / 16, 1 / 16, 32)
+    return TimeGrid(1 / 16, 1 / 16, 32)
 
 
 class TestCalibrate:
     def test_point_mass_gives_step_boundary(self):
-        grid = TimeGrid(np.array([0.5, 1.0]))
+        grid = TimeGrid(0.5, 0.5, 2)
         est = calibrate(
             BrownianDrift(0, 1),
             PointInitial(0.0),
             PointMass(1.0),
-            CalibrationOptions(particles=100, grid=grid, seed=1),
+            grid,
+            100,
+            1,
         )
         assert est.curve.values[0] == INF
         assert est.curve.values[1] == -INF
@@ -152,7 +155,9 @@ class TestCalibrate:
             BrownianDrift(0, 1),
             PointInitial(0.0),
             Exponential(1.0),
-            CalibrationOptions(particles=n, grid=small_grid(), seed=2),
+            small_grid(),
+            n,
+            2,
         )
         m = round_half_up(n * est.survival_target)
         assert np.array_equal(np.rint(est.survival_achieved * n).astype(int), m)
@@ -162,21 +167,27 @@ class TestCalibrate:
         # -inf exactly where the rounded target count is zero, +inf exactly
         # where no kill occurred
         n = 500
-        grid = TimeGrid.arithmetic(1 / 4, 1 / 4, 12)
+        grid = TimeGrid(1 / 4, 1 / 4, 12)
         est = calibrate(
             BrownianDrift(0, 1),
             PointInitial(0.0),
             PointMass(2.0),
-            CalibrationOptions(particles=n, grid=grid, seed=3),
+            grid,
+            n,
+            3,
         )
         m = round_half_up(n * est.survival_target)
         assert np.array_equal(est.curve.values == -INF, m == 0)
         assert np.array_equal(est.curve.values == INF, (m > 0))
 
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_needs_two_particles(self, n):
+        with pytest.raises(ValueError, match="at least 2 particles"):
+            calibrate(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), small_grid(), n, 0)
+
     def test_deterministic_bit_for_bit(self):
-        opts = CalibrationOptions(particles=5000, grid=small_grid(), seed=11)
-        a = calibrate(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), opts)
-        b = calibrate(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), opts)
+        a = calibrate(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), small_grid(), 5000, 11)
+        b = calibrate(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), small_grid(), 5000, 11)
         assert np.array_equal(a.curve.values, b.curve.values)
         assert np.array_equal(a.survival_achieved, b.survival_achieved)
 
@@ -187,7 +198,9 @@ class TestCalibrate:
                 model,
                 PointInitial(2.0),
                 Exponential(1.0),
-                CalibrationOptions(particles=100, grid=small_grid(), seed=4),
+                small_grid(),
+                100,
+                4,
             )
 
     def test_increasing_survival_rejected(self):
@@ -200,7 +213,9 @@ class TestCalibrate:
                 BrownianDrift(0, 1),
                 PointInitial(0.0),
                 Broken(),
-                CalibrationOptions(particles=100, grid=small_grid(), seed=5),
+                small_grid(),
+                100,
+                5,
             )
 
     def test_atomic_jump_tie_shortfall_reported(self):
@@ -213,7 +228,9 @@ class TestCalibrate:
             model,
             PointInitial(0.0),
             Exponential(1.0),
-            CalibrationOptions(particles=n, grid=small_grid(), seed=6),
+            small_grid(),
+            n,
+            6,
         )
         m = round_half_up(n * est.survival_target)
         achieved = np.rint(est.survival_achieved * n).astype(int)
@@ -230,7 +247,9 @@ class TestCalibrate:
             BrownianDrift(0, 1),
             PointInitial(0.0),
             Defective(),
-            CalibrationOptions(particles=n, grid=small_grid(), seed=7),
+            small_grid(),
+            n,
+            7,
         )
         assert est.survival_achieved[-1] >= 0.4
 
@@ -249,9 +268,9 @@ class TestCalibrate:
     def test_survival_within_one_particle(self, seed, n, dt_exp, first, steps, target):
         # Brownian positions are a.s. distinct, so no tied block is killed
         dt = 2.0**-dt_exp
-        grid = TimeGrid.arithmetic(first * dt, dt, steps)
+        grid = TimeGrid(first * dt, dt, steps)
         est = calibrate(
-            BrownianDrift(0, 1), PointInitial(0.0), target, CalibrationOptions(particles=n, grid=grid, seed=seed)
+            BrownianDrift(0, 1), PointInitial(0.0), target, grid, n, seed
         )
         assert est.diagnostics["tie_events"] == 0
         assert np.max(np.abs(est.survival_achieved - est.survival_target)) <= 1.0 / n
@@ -281,11 +300,10 @@ class TestInitialDistributions:
 class TestComparisonCoupling:
     def test_ordered_boundaries_small_scale(self):
         # hazard-ordered targets, st-ordered starts, common random numbers
-        grid = TimeGrid.arithmetic(1 / 64, 1 / 64, 128)
+        grid = TimeGrid(1 / 64, 1 / 64, 128)
         for seed in (21, 22, 23, 24, 25):
-            opts = CalibrationOptions(particles=2000, grid=grid, seed=seed)
-            b1 = calibrate(BrownianDrift(0, 1), PointInitial(0.0), Exponential(2.0), opts)
-            b2 = calibrate(BrownianDrift(0, 1), PointInitial(0.5), Exponential(1.0), opts)
+            b1 = calibrate(BrownianDrift(0, 1), PointInitial(0.0), Exponential(2.0), grid, 2000, seed)
+            b2 = calibrate(BrownianDrift(0, 1), PointInitial(0.5), Exponential(1.0), grid, 2000, seed)
             rep = compare_boundaries(b1, b2, 0.0)
             assert rep.holds, (seed, rep)
 
@@ -302,9 +320,9 @@ class TestComparisonCoupling:
     def test_ordered_starts_give_ordered_boundaries(self, model, x, delta, seed, n, steps, rate):
         # one target and one seed: every path from x + delta stays at or
         # above its coupled path from x, so the kill levels are ordered
-        opts = CalibrationOptions(particles=n, grid=TimeGrid.arithmetic(1 / 8, 1 / 8, steps), seed=seed)
-        lower = calibrate(model, PointInitial(x), Exponential(rate), opts)
-        upper = calibrate(model, PointInitial(x + delta), Exponential(rate), opts)
+        grid = TimeGrid(1 / 8, 1 / 8, steps)
+        lower = calibrate(model, PointInitial(x), Exponential(rate), grid, n, seed)
+        upper = calibrate(model, PointInitial(x + delta), Exponential(rate), grid, n, seed)
         rep = compare_boundaries(lower, upper, 0.0)
         assert rep.holds, rep
 
@@ -322,8 +340,8 @@ class TestReruns:
     )
     def test_calibrate_and_forward_fpt_rerun_byte_identical(self, model, seed, n, dt_exp, steps):
         dt = 2.0**-dt_exp
-        opts = CalibrationOptions(particles=n, grid=TimeGrid.arithmetic(dt, dt, steps), seed=seed)
-        runs = [calibrate(model, PointInitial(0.0), Exponential(1.0), opts) for _ in range(2)]
+        grid = TimeGrid(dt, dt, steps)
+        runs = [calibrate(model, PointInitial(0.0), Exponential(1.0), grid, n, seed) for _ in range(2)]
         for field in ("survival_target", "survival_achieved"):
             assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
         assert runs[0].curve.values.tobytes() == runs[1].curve.values.tobytes()
@@ -334,18 +352,16 @@ class TestReruns:
 
 class TestRefineAndDiagnose:
     def test_single_level_empty_diagnostics(self):
-        grid = TimeGrid.arithmetic(1 / 8, 1 / 8, 8)
-        opts = CalibrationOptions(particles=500, grid=grid, seed=31)
+        grid = TimeGrid(1 / 8, 1 / 8, 8)
         ests, dists = refine_and_diagnose(
-            BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 1, opts
+            BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 1, 500, 31
         )
         assert len(ests) == 1 and dists == []
 
     def test_refinement_halves_dt(self):
-        grid = TimeGrid.arithmetic(1 / 8, 1 / 8, 8)
-        opts = CalibrationOptions(particles=500, grid=grid, seed=32)
+        grid = TimeGrid(1 / 8, 1 / 8, 8)
         ests, dists = refine_and_diagnose(
-            BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 3, opts
+            BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 3, 500, 32
         )
         assert [len(e.curve.grid) for e in ests] == [8, 16, 32]
         assert ests[1].curve.grid.dt == pytest.approx(1 / 16)
@@ -353,28 +369,25 @@ class TestRefineAndDiagnose:
         assert all(d >= 0 for d in dists)
 
     def test_deterministic(self):
-        grid = TimeGrid.arithmetic(1 / 8, 1 / 8, 8)
-        opts = CalibrationOptions(particles=400, grid=grid, seed=33)
-        a = refine_and_diagnose(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 2, opts)
-        b = refine_and_diagnose(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 2, opts)
+        grid = TimeGrid(1 / 8, 1 / 8, 8)
+        a = refine_and_diagnose(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 2, 400, 33)
+        b = refine_and_diagnose(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 2, 400, 33)
         assert np.array_equal(a[0][1].curve.values, b[0][1].curve.values)
         assert a[1] == b[1]
 
     def test_needs_dyadic_grid(self):
-        grid = TimeGrid.arithmetic(0.5, 0.25, 4)
-        opts = CalibrationOptions(particles=100, grid=grid, seed=34)
+        grid = TimeGrid(0.5, 0.25, 4)
         with pytest.raises(CalibrationError):
-            refine_and_diagnose(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 2, opts)
+            refine_and_diagnose(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 2, 100, 34)
 
     def test_diagnostic_stays_small_on_benchmark(self):
         # regression guard: refining a stable problem moves the epigraph
         # distance on the compactified square by far less than 0.2
         from ifpt.targets import LevyHittingLaw
 
-        grid = TimeGrid.arithmetic(1 / 128, 1 / 128, 256)
-        opts = CalibrationOptions(particles=30_000, grid=grid, seed=35)
+        grid = TimeGrid(1 / 128, 1 / 128, 256)
         _, dists = refine_and_diagnose(
-            BrownianDrift(0, 1), PointInitial(0.0), LevyHittingLaw(1.0), grid, 3, opts
+            BrownianDrift(0, 1), PointInitial(0.0), LevyHittingLaw(1.0), grid, 3, 30_000, 35
         )
         assert len(dists) == 2
         assert all(d <= 0.2 for d in dists), dists
@@ -391,7 +404,9 @@ class TestDiagnostics:
             model,
             PointInitial(0.0),
             Exponential(1.0),
-            CalibrationOptions(particles=200, grid=small_grid(), seed=40),
+            small_grid(),
+            200,
+            40,
         )
         d = est.diagnostics
         assert d["small_jump_mode"] == "discard"

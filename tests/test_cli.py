@@ -162,6 +162,9 @@ class TestCalibrateCommand:
                 "target",
                 "weights must be >= 0",
             ),
+            # -2 gamma c overflows, and the survival was NaN
+            ({"kind": "inverse_gaussian_hitting", "c": 1e200, "gamma": -1e200}, "target", "overflow"),
+            ({"kind": "inverse_gaussian_hitting", "c": 1e154, "gamma": -1e154}, "target", "overflow"),
         ],
     )
     def test_invalid_target_law_is_config_error(self, tmp_path, capsys, target, path, problem):
@@ -424,6 +427,32 @@ class TestVerifyCommand:
         cfg["grid"] = dict(cfg["grid"], steps=16)
         rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            (("nan", "1"), "does not match the config grid"),
+            (("inf", "1"), "does not match the config grid"),
+            (("0.03125", "1"), "does not match the config grid"),
+            (("0.125", "nan"), "must not be NaN"),
+            # the OU process lives on [0, inf)
+            (("0.125", "-1"), "must lie in [L, R]"),
+        ],
+        ids=["nan-time", "inf-time", "decreasing-time", "nan-value", "value-below-L"],
+    )
+    def test_bad_boundary_csv_exits_2(self, tmp_path, capsys, row, problem):
+        # each used to exit 3 with "runtime error"
+        grid = CONFIG_OU["grid"]
+        rows = [(repr(grid["t_start"] + k * grid["dt"]), "1") for k in range(grid["steps"])]
+        rows[3] = row
+        (tmp_path / "b.csv").write_text("t,b\n" + "".join(f"{t},{b}\n" for t, b in rows))
+        cfg = {k: CONFIG_OU[k] for k in ("process", "initial", "target", "grid")}
+        cfg["verify"] = {"boundary_csv": "b.csv", "samples": 100, "seed": 1, "tolerance": 0.1}
+        rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and problem in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestCompareCommand:

@@ -49,7 +49,7 @@ class TestTruncate:
 
 class TestHazardOrder:
     def test_exp_rates(self):
-        g = TimeGrid.arithmetic(0.1, 0.1, 30)
+        g = TimeGrid(0.1, 0.1, 30)
         assert check_hazard_order(Exponential(2.0), Exponential(1.0), g).holds
         assert check_hazard_order(Exponential(1.0), Exponential(1.0), g).holds
         r = check_hazard_order(Exponential(1.0), Exponential(2.0), g)
@@ -57,7 +57,7 @@ class TestHazardOrder:
         assert r.worst_violation > 0
 
     def test_vanishing_survival_errors(self):
-        g = TimeGrid.arithmetic(0.5, 0.5, 4)
+        g = TimeGrid(0.5, 0.5, 4)
         with pytest.raises(ValueError):
             check_hazard_order(Exponential(1.0), PointMass(1.0), g)
 

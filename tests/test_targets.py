@@ -141,6 +141,20 @@ class TestSurvival:
             return
         assert_is_law(target)
 
+    @settings(max_examples=500)
+    @given(k=st.integers(-300, 300), j=st.integers(-300, 300), sign=st.sampled_from([1.0, -1.0]))
+    def test_inverse_gaussian_at_any_scale_is_rejected_or_a_law(self, k, j, sign):
+        # -2 gamma c overflowing a double used to build and give a NaN survival
+        try:
+            target = InverseGaussianHitting(10.0**k, sign * 10.0**j)
+        except ValueError:
+            return
+        assert_is_law(target)
+
+    @pytest.mark.parametrize("c, gamma", [(1e100, -1e100), (1.0, -1e200), (1e200, -1.0), (1e200, 1e200)])
+    def test_inverse_gaussian_extremes_that_are_laws_build(self, c, gamma):
+        assert_is_law(InverseGaussianHitting(c, gamma))
+
     def test_mixture_is_weighted_sum(self):
         comps = ((0.3, Exponential(2.0)), (0.7, Weibull(1.3, 1.0)))
         mix = Mixture(comps)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 from ifpt.boundary import BoundaryCurve, TimeGrid
-from ifpt.calibrate import CalibrationOptions, PointInitial, calibrate
+from ifpt.calibrate import PointInitial, calibrate
 from ifpt.processes import BrownianDrift
 from ifpt.rng import generator
 from ifpt.targets import Exponential, PointMass
@@ -41,13 +41,13 @@ def flat_curve(level, grid):
 
 class TestForwardFpt:
     def test_minus_inf_first_point_absorbs_everything(self):
-        grid = TimeGrid(np.array([0.25, 0.5]))
+        grid = TimeGrid(0.25, 0.25, 2)
         curve = BoundaryCurve(grid, [-INF, 0.0])
         s = forward_fpt(BrownianDrift(0, 1), PointInitial(0.0), curve, 50, 1)
         assert np.all(s.times == 0.25)
 
     def test_plus_inf_never_crosses(self):
-        grid = TimeGrid(np.array([0.25, 0.5]))
+        grid = TimeGrid(0.25, 0.25, 2)
         s = forward_fpt(BrownianDrift(0, 1), PointInitial(0.0), flat_curve(INF, grid), 50, 2)
         assert np.all(np.isinf(s.times))
         assert s.censored_fraction == 1.0
@@ -58,7 +58,7 @@ class TestForwardFpt:
         # 0.5826 sqrt(dt) (the stated +-0.006 budget around the raw
         # continuum value is unattainable at dt = 1/512, where the
         # monitoring bias alone is about 0.014)
-        grid = TimeGrid.arithmetic(1 / 512, 1 / 512, 1024)
+        grid = TimeGrid(1 / 512, 1 / 512, 1024)
         s = forward_fpt(BrownianDrift(0, 1), PointInitial(0.0), flat_curve(1.0, grid), 100_000, 3)
         p_hat = float((s.times <= 1.0).mean())
         corrected = 2.0 * ndtr(-(1.0 + 0.5826 * math.sqrt(1 / 512)))
@@ -66,7 +66,7 @@ class TestForwardFpt:
         assert p_hat < analytic_bm_level_cdf(1.0, 1.0)
 
     def test_times_are_grid_points_or_inf(self):
-        grid = TimeGrid.arithmetic(1 / 8, 1 / 8, 16)
+        grid = TimeGrid(1 / 8, 1 / 8, 16)
         s = forward_fpt(BrownianDrift(0, 1), PointInitial(0.0), flat_curve(0.5, grid), 500, 4)
         finite = s.times[np.isfinite(s.times)]
         assert np.all(np.isin(finite, grid.points))
@@ -74,9 +74,8 @@ class TestForwardFpt:
 
 class TestInternalConsistency:
     def test_forward_with_calibration_seed_reproduces_survival(self):
-        grid = TimeGrid.arithmetic(1 / 32, 1 / 32, 64)
-        opts = CalibrationOptions(particles=4000, grid=grid, seed=99)
-        est = calibrate(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), opts)
+        grid = TimeGrid(1 / 32, 1 / 32, 64)
+        est = calibrate(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 4000, 99)
         s = forward_fpt(BrownianDrift(0, 1), PointInitial(0.0), est.curve, 4000, 99)
         alive_frac = np.array([(s.times > t).mean() for t in grid.points])
         assert np.array_equal(alive_frac, est.survival_achieved)
@@ -84,14 +83,14 @@ class TestInternalConsistency:
 
 class TestKsStatistic:
     def test_all_censored_vs_point_mass(self):
-        grid = TimeGrid.arithmetic(1.0, 1.0, 2)
+        grid = TimeGrid(1.0, 1.0, 2)
         s = FptSample(times=np.full(100, INF), grid=grid, n=100)
         assert ks_statistic(s, PointMass(1.0))[0] == 1.0
 
     def test_snapped_target_sample_within_dkw(self):
         # draws from the target snapped up to the grid: DKW plus one cell
         n = 100_000
-        grid = TimeGrid.arithmetic(1 / 128, 1 / 128, 512)
+        grid = TimeGrid(1 / 128, 1 / 128, 512)
         target = Exponential(1.0)
         draws = -np.log1p(-generator(5, 0x33).random(n))
         idx = np.searchsorted(grid.points, draws, side="left")
@@ -103,12 +102,12 @@ class TestKsStatistic:
     def test_witness_is_first_time_attaining_the_sup(self):
         # half the paths cross at t = 2, against a point mass at 3: the gap
         # is 0, 1/2, 1/2 at t = 1, 2, 3
-        grid = TimeGrid.arithmetic(1.0, 1.0, 3)
+        grid = TimeGrid(1.0, 1.0, 3)
         s = FptSample(times=np.repeat([2.0, INF], 50), grid=grid, n=100)
         assert ks_statistic(s, PointMass(3.0)) == (0.5, 2.0)
 
     def test_empty_sample_rejected(self):
-        grid = TimeGrid(np.array([1.0]))
+        grid = TimeGrid(1.0, 1.0, 1)
         s = FptSample(times=np.array([]), grid=grid, n=0)
         with pytest.raises(ValueError):
             ks_statistic(s, Exponential(1.0))
@@ -125,12 +124,12 @@ def estimate_from_values(values, grid, n=10, seed=0):
 
 class TestCompareBoundaries:
     def test_equal_holds_with_zero_slack(self):
-        grid = TimeGrid(np.array([0.5, 1.0]))
+        grid = TimeGrid(0.5, 0.5, 2)
         a = estimate_from_values([0.1, 0.2], grid)
         assert compare_boundaries(a, a, 0.0).holds
 
     def test_minus_inf_right_fails_everywhere(self):
-        grid = TimeGrid(np.array([0.5, 1.0]))
+        grid = TimeGrid(0.5, 0.5, 2)
         a = estimate_from_values([0.0, 0.0], grid)
         b = estimate_from_values([-INF, -INF], grid)
         rep = compare_boundaries(a, b, 0.0)
@@ -138,7 +137,7 @@ class TestCompareBoundaries:
         assert rep.worst_violation == INF
 
     def test_slack_allows_small_excess(self):
-        grid = TimeGrid(np.array([0.5, 1.0]))
+        grid = TimeGrid(0.5, 0.5, 2)
         a = estimate_from_values([0.3, 0.3], grid)
         b = estimate_from_values([0.25, 0.25], grid)
         assert not compare_boundaries(a, b, 0.0).holds
@@ -146,7 +145,7 @@ class TestCompareBoundaries:
 
     def test_nan_or_negative_slack_rejected(self):
         # a NaN slack makes every margin NaN, which used to read as "holds"
-        grid = TimeGrid(np.array([0.5, 1.0]))
+        grid = TimeGrid(0.5, 0.5, 2)
         a = estimate_from_values([0.3, 0.3], grid)
         b = estimate_from_values([0.25, 0.25], grid)
         for slack in (math.nan, -0.1):
@@ -154,13 +153,13 @@ class TestCompareBoundaries:
                 compare_boundaries(a, b, slack)
 
     def test_infinite_pairs_compare_equal(self):
-        grid = TimeGrid(np.array([0.5, 1.0]))
+        grid = TimeGrid(0.5, 0.5, 2)
         a = estimate_from_values([INF, -INF], grid)
         assert compare_boundaries(a, a, 0.0).holds
 
     def test_grid_mismatch_raises(self):
-        a = estimate_from_values([0.0], TimeGrid(np.array([0.5])))
-        b = estimate_from_values([0.0], TimeGrid(np.array([0.6])))
+        a = estimate_from_values([0.0], TimeGrid(0.5, 0.5, 1))
+        b = estimate_from_values([0.0], TimeGrid(0.6, 0.6, 1))
         with pytest.raises(GridMismatchError):
             compare_boundaries(a, b, 0.0)
 
