@@ -4,14 +4,13 @@ matches a target distribution, verify it by forward simulation, and check
 the order-theoretic and classification conditions of the underlying
 process."""
 
-from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid, epigraph_hausdorff
+from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid
 from .calibrate import (
     EmpiricalInitial,
     NormalInitial,
     PointInitial,
     UniformInitial,
     calibrate,
-    refine_and_diagnose,
 )
 from .orders import OrderReport, check_hazard_order
 from .processes import (
@@ -41,7 +40,6 @@ from .targets import (
 )
 from .verify import (
     FptSample,
-    analytic_bm_level_cdf,
     analytic_bm_linear_cdf,
     compare_boundaries,
     dkw_critical_value,

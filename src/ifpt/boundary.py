@@ -98,64 +98,6 @@ class BoundaryCurve:
         return self.domain_bounds[1]
 
 
-def compactify_space(x) -> np.ndarray:
-    """phi(x) = x / (1 + |x|), with +-inf mapped to +-1."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(invalid="ignore"):
-        out = np.where(np.isfinite(x), x / (1.0 + np.abs(x)), np.sign(x))
-    return out
-
-
-def compactify_time(t) -> np.ndarray:
-    """psi(t) = t / (1 + t) on [0, inf], mapping inf to 1."""
-    t = np.asarray(t, dtype=float)
-    return np.where(np.isfinite(t), t / (1.0 + t), 1.0)
-
-
-def _raster_rows(curve: BoundaryCurve, resolution: int) -> np.ndarray:
-    """Lowest epigraph row index per lattice column, on the unit square.
-
-    The compactified square maps time through psi and space through
-    (phi + 1) / 2.  Grid points are binned to the nearest lattice column;
-    columns without a grid point take the off-grid fill.  Row indices are
-    the smallest lattice row lying inside the epigraph.
-    """
-    n = resolution
-    cols_of_points = np.rint(compactify_time(curve.grid.points) * (n - 1)).astype(int)
-    thr = np.full(n, 0.5 * (compactify_space(curve.off_grid_value) + 1.0))
-    v = 0.5 * (compactify_space(curve.values) + 1.0)
-    # epigraphs union where several grid points land in one column
-    np.minimum.at(thr, cols_of_points, v)
-    rows = np.ceil(thr * (n - 1) - 1e-9).astype(int)
-    return np.clip(rows, 0, n - 1)
-
-
-def _directed_hausdorff(rows_a: np.ndarray, rows_b: np.ndarray, resolution: int) -> float:
-    # the farthest point of A from B sits at the bottom of its column
-    n = resolution
-    h = 1.0 / (n - 1)
-    i = np.arange(n)
-    du = (i[:, None] - i[None, :]) * h
-    dv = np.maximum(0, rows_b[None, :] - rows_a[:, None]) * h
-    return float(np.sqrt(du**2 + dv**2).min(axis=1).max())
-
-
-def epigraph_hausdorff(a: BoundaryCurve, b: BoundaryCurve, resolution: int) -> float:
-    """Hausdorff distance between lattice-sampled compactified epigraphs.
-
-    Symmetric, zero for identical curves, and a metric on the rasterized
-    point clouds; used as the refinement convergence diagnostic.
-    """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    ra = _raster_rows(a, resolution)
-    rb = _raster_rows(b, resolution)
-    return max(
-        _directed_hausdorff(ra, rb, resolution),
-        _directed_hausdorff(rb, ra, resolution),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class BoundaryEstimate:
     """Calibrated boundary plus the survival bookkeeping that produced it."""

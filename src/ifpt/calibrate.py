@@ -22,14 +22,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid, epigraph_hausdorff
+from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid
 from .processes import Diagnostics, Levy, check_positions, step_increments
-from .rng import INIT_LABEL, StreamKeys, derive_seed, generator
+from .rng import INIT_LABEL, StreamKeys, generator
 from .targets import TargetDistribution
-
-
-# lattice size of the refinement diagnostic's rasterized epigraphs
-HAUSDORFF_RESOLUTION = 128
 
 
 class CalibrationError(ValueError):
@@ -242,34 +238,3 @@ def calibrate(
         diagnostics=diagnostics,
     )
 
-
-def refine_and_diagnose(
-    model,
-    initial: InitialDistribution,
-    target: TargetDistribution,
-    base_grid: TimeGrid,
-    levels: int,
-    n: int,
-    seed: int,
-) -> tuple[list[BoundaryEstimate], list[float]]:
-    """Calibrate on dyadic refinements of the grid with independent sub-seeds.
-
-    Returns the estimates and the epigraph Hausdorff distance between each
-    consecutive pair, the convergence diagnostic; a single level yields an
-    empty diagnostic list.
-    """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if base_grid.t_start != base_grid.dt:
-        raise CalibrationError("refinement needs a dyadic grid: t_start == dt")
-    estimates = []
-    distances = []
-    for j in range(levels):
-        dt = base_grid.dt / 2**j
-        grid = TimeGrid(dt, dt, len(base_grid) * 2**j)
-        estimates.append(calibrate(model, initial, target, grid, n, derive_seed(seed, 0x7E, j)))
-        if j:
-            distances.append(
-                epigraph_hausdorff(estimates[-2].curve, estimates[-1].curve, HAUSDORFF_RESOLUTION)
-            )
-    return estimates, distances

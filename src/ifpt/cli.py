@@ -271,6 +271,11 @@ def main(argv=None) -> int:
     except (StateSpaceError, ValueError, RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; a bare MemoryError has no text
+        detail = f": {exc}" if str(exc) else ""
+        print(f"runtime error: out of memory{detail}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

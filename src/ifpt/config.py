@@ -43,6 +43,7 @@ from .processes import (
     OneSidedStable,
     Power,
 )
+from .rng import MAX_SIZE
 from .targets import (
     EmpiricalTarget,
     Exponential,
@@ -86,6 +87,14 @@ def _integer(v, path: str, base_dir: str = ".") -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(path, "expected an integer")
     return v
+
+
+def _size(v, path: str) -> int:
+    """A count of particles, samples or grid steps: an integer up to MAX_SIZE."""
+    n = _integer(v, path)
+    if n > MAX_SIZE:
+        raise ConfigError(path, f"must be at most {MAX_SIZE}")
+    return n
 
 
 def parse_seed(v, path: str) -> int:
@@ -248,7 +257,7 @@ def build_grid(spec: dict, path: str = "grid") -> TimeGrid:
     _check_keys(spec, path, {"t_start", "dt", "steps"})
     t_start = _number(spec["t_start"], f"{path}.t_start")
     dt = _number(spec["dt"], f"{path}.dt")
-    steps = _integer(spec["steps"], f"{path}.steps")
+    steps = _size(spec["steps"], f"{path}.steps")
     if t_start < dt:
         raise ConfigError(f"{path}.t_start", "t_start must be >= dt (grids exclude 0)")
     try:
@@ -297,7 +306,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
 
     particles = None
     if "particles" in raw:
-        particles = _integer(raw["particles"], "particles")
+        particles = _size(raw["particles"], "particles")
         if particles < 2:
             raise ConfigError("particles", "need at least 2 particles")
     seed = parse_seed(raw["seed"], "seed") if "seed" in raw else None
@@ -313,7 +322,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         _check_keys(v, "verify", {"boundary_csv", "samples", "seed", "tolerance"})
         verify = {
             "boundary_csv": _string(v["boundary_csv"], "verify.boundary_csv"),
-            "samples": _integer(v["samples"], "verify.samples"),
+            "samples": _size(v["samples"], "verify.samples"),
             "seed": parse_seed(v["seed"], "verify.seed"),
             "tolerance": _number(v["tolerance"], "verify.tolerance"),
             "base_dir": base_dir,

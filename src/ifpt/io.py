@@ -20,21 +20,14 @@ class CsvFormatError(ValueError):
 
 
 def format_float(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".17g")
 
 
 def parse_float(s: str) -> float:
-    s = s.strip()
-    if s == "inf":
-        return math.inf
-    if s == "-inf":
-        return -math.inf
     try:
         return float(s)
     except ValueError as exc:
-        raise CsvFormatError(f"bad float literal {s!r}") from exc
+        raise CsvFormatError(f"bad float literal {s.strip()!r}") from exc
 
 
 def estimate_csv_lines(est: BoundaryEstimate):

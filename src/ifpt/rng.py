@@ -41,6 +41,8 @@ _CHUNK = 1 << 15
 # first word of every id, block 2a + p the word of part p at attempt a >= 1
 # of the ziggurat's slow path (ids stay below 2^48)
 _BLOCK_SHIFT = 48
+# the most particles, samples or grid steps a run may take, so ids fit a block
+MAX_SIZE = 1 << _BLOCK_SHIFT
 
 # fixed labels for the top-level stream families
 INIT_LABEL = 0x11

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid
 from .calibrate import InitialDistribution, evolve
@@ -22,7 +21,7 @@ from .orders import OrderReport
 # perfbench/tracer.py patches this name; it goes when the benchmark is next revised
 from .processes import step_increments  # noqa: F401
 from .rng import generator
-from .targets import TargetDistribution
+from .targets import InverseGaussianHitting, TargetDistribution
 
 
 class GridMismatchError(ValueError):
@@ -35,14 +34,11 @@ class FptSample:
 
     times: np.ndarray
     grid: TimeGrid
-    n: int
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
-        if len(t) != self.n:
-            raise ValueError("times length must equal n")
 
     @property
     def censored_fraction(self) -> float:
@@ -64,7 +60,7 @@ def forward_fpt(
         ens.remove(crossed)
         if not len(ens.ids):
             break
-    return FptSample(times=times, grid=boundary.grid, n=n)
+    return FptSample(times=times, grid=boundary.grid)
 
 
 def ks_statistic(sample: FptSample, target: TargetDistribution) -> tuple[float, float]:
@@ -73,11 +69,12 @@ def ks_statistic(sample: FptSample, target: TargetDistribution) -> tuple[float, 
     Returns ``(statistic, t)`` where t is the first grid time attaining
     the supremum.
     """
-    if sample.n == 0:
+    n = len(sample.times)
+    if n == 0:
         raise ValueError("sample must be nonempty")
     finite = np.sort(sample.times[np.isfinite(sample.times)])
     ts = sample.grid.points
-    emp = np.searchsorted(finite, ts, side="right") / sample.n
+    emp = np.searchsorted(finite, ts, side="right") / n
     cdf = 1.0 - np.asarray(target.survival(ts), dtype=float)
     gap = np.abs(emp - cdf)
     i = int(np.argmax(gap))
@@ -113,29 +110,14 @@ def compare_boundaries(b1: BoundaryEstimate, b2: BoundaryEstimate, slack: float 
 
 
 # ---------------------------------------------------------------------------
-# Closed-form oracles for Brownian motion
-
-
-def analytic_bm_level_cdf(c: float, t: float) -> float:
-    """P(sup_{s<=t} B_s >= c) = 2 Phi(-c / sqrt(t)) for c > 0."""
-    if c <= 0 or t <= 0:
-        raise ValueError("need c > 0 and t > 0")
-    return float(2.0 * ndtr(-c / math.sqrt(t)))
+# Oracles for Brownian motion crossing a line
 
 
 def analytic_bm_linear_cdf(c: float, gamma: float, t: float) -> float:
-    """P(exists s <= t : B_s >= c + gamma s), the linear-boundary law.
-
-    Reflection-type closed form, validated against the brute-force path
-    oracle below before being trusted anywhere.
-    """
-    if c <= 0 or t <= 0:
-        raise ValueError("need c > 0 and t > 0")
-    rt = math.sqrt(t)
-    return float(
-        ndtr((-c - gamma * t) / rt)
-        + math.exp(-2.0 * gamma * c) * ndtr((gamma * t - c) / rt)
-    )
+    """P(exists s <= t : B_s >= c + gamma s), the CDF of the target law
+    ``InverseGaussianHitting(c, gamma)``, which the brute-force path oracle
+    below validates."""
+    return 1.0 - float(InverseGaussianHitting(c, gamma).survival(t))
 
 
 def bm_linear_crossing_mc(

@@ -4,14 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ifpt.boundary import (
-    BoundaryCurve,
-    BoundaryEstimate,
-    GridError,
-    TimeGrid,
-    _raster_rows,
-    epigraph_hausdorff,
-)
+from epigraph import epigraph_hausdorff, raster_rows
+from ifpt.boundary import BoundaryCurve, BoundaryEstimate, GridError, TimeGrid
 from ifpt.config import ConfigError, parse_config
 
 INF = math.inf
@@ -97,7 +91,7 @@ def brute_force_hausdorff(a, b, res):
     """Oracle: enumerate every lattice point of both epigraphs, all pairs."""
 
     def points(c):
-        rows = _raster_rows(c, res)
+        rows = raster_rows(c, res)
         h = 1.0 / (res - 1)
         return np.array([(i * h, j * h) for i in range(res) for j in range(rows[i], res)])
 
@@ -155,11 +149,6 @@ class TestEpigraphHausdorff:
             assert dab == dba
             assert epigraph_hausdorff(cs[0], cs[0], 24) == 0.0
             assert dac <= dab + dbc + 1e-12
-
-    def test_resolution_floor(self):
-        c = curve(1.0, 1.0, [0.0])
-        with pytest.raises(ValueError):
-            epigraph_hausdorff(c, c, 1)
 
 
 class TestBoundaryCurveInvariants:

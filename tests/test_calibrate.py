@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epigraph import refine
 from ifpt.boundary import TimeGrid
 from ifpt.calibrate import (
     CalibrationError,
@@ -14,7 +15,6 @@ from ifpt.calibrate import (
     UniformInitial,
     _select_kills,
     calibrate,
-    refine_and_diagnose,
     round_half_up,
 )
 from ifpt.processes import (
@@ -352,43 +352,28 @@ class TestReruns:
 
 class TestRefineAndDiagnose:
     def test_single_level_empty_diagnostics(self):
-        grid = TimeGrid(1 / 8, 1 / 8, 8)
-        ests, dists = refine_and_diagnose(
-            BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 1, 500, 31
-        )
+        ests, dists = refine(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), 1 / 8, 8, 1, 500, 31)
         assert len(ests) == 1 and dists == []
 
     def test_refinement_halves_dt(self):
-        grid = TimeGrid(1 / 8, 1 / 8, 8)
-        ests, dists = refine_and_diagnose(
-            BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 3, 500, 32
-        )
+        ests, dists = refine(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), 1 / 8, 8, 3, 500, 32)
         assert [len(e.curve.grid) for e in ests] == [8, 16, 32]
         assert ests[1].curve.grid.dt == pytest.approx(1 / 16)
         assert len(dists) == 2
         assert all(d >= 0 for d in dists)
 
     def test_deterministic(self):
-        grid = TimeGrid(1 / 8, 1 / 8, 8)
-        a = refine_and_diagnose(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 2, 400, 33)
-        b = refine_and_diagnose(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 2, 400, 33)
+        a = refine(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), 1 / 8, 8, 2, 400, 33)
+        b = refine(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), 1 / 8, 8, 2, 400, 33)
         assert np.array_equal(a[0][1].curve.values, b[0][1].curve.values)
         assert a[1] == b[1]
-
-    def test_needs_dyadic_grid(self):
-        grid = TimeGrid(0.5, 0.25, 4)
-        with pytest.raises(CalibrationError):
-            refine_and_diagnose(BrownianDrift(0, 1), PointInitial(0.0), Exponential(1.0), grid, 2, 100, 34)
 
     def test_diagnostic_stays_small_on_benchmark(self):
         # regression guard: refining a stable problem moves the epigraph
         # distance on the compactified square by far less than 0.2
         from ifpt.targets import LevyHittingLaw
 
-        grid = TimeGrid(1 / 128, 1 / 128, 256)
-        _, dists = refine_and_diagnose(
-            BrownianDrift(0, 1), PointInitial(0.0), LevyHittingLaw(1.0), grid, 3, 30_000, 35
-        )
+        _, dists = refine(BrownianDrift(0, 1), PointInitial(0.0), LevyHittingLaw(1.0), 1 / 128, 256, 3, 30_000, 35)
         assert len(dists) == 2
         assert all(d <= 0.2 for d in dists), dists
 

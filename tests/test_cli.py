@@ -455,6 +455,44 @@ class TestVerifyCommand:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+# ids of 2**48 particles or samples fill the random stream's block; the
+# values past it used to exit 3 with a numpy message (after a RuntimeWarning
+# for 10**300 particles)
+OVERSIZED = {
+    "particles": ("calibrate", dict(CONFIG_A, particles=2**48 + 1)),
+    "grid.steps": ("calibrate", dict(CONFIG_A, grid=dict(CONFIG_A["grid"], steps=2**48 + 1))),
+    "verify.samples": (
+        "verify",
+        dict(CONFIG_A, verify={"boundary_csv": "b.csv", "samples": 2**48 + 1, "seed": 1, "tolerance": 0.1}),
+    ),
+}
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("key", OVERSIZED)
+    def test_past_the_bound_exits_2(self, tmp_path, capsys, key):
+        command, cfg = OVERSIZED[key]
+        rc = cli.main([command, "-c", write_config(tmp_path, cfg), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {key}: must be at most {2**48}\n"
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 8.00 TiB"), "runtime error: out of memory: Unable to allocate 8.00 TiB"),
+            (MemoryError(), "runtime error: out of memory"),
+        ],
+    )
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch, exc, line):
+        def exhaust(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "calibrate", exhaust)
+        rc, _ = run_calibrate(tmp_path, CONFIG_A)
+        assert rc == 3
+        assert capsys.readouterr().err == line + "\n"
+
+
 class TestCompareCommand:
     def _cfg(self, left_rate, right_rate, left_x=0.0, right_x=0.5, slack=0.0):
         side = lambda rate, x: {

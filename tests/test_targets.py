@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 from ifpt.targets import (
     EmpiricalTarget,
@@ -115,16 +116,14 @@ class TestSurvival:
         assert float(t.survival(1e9)) == pytest.approx(floor, abs=1e-9)
 
     def test_ig_matches_validated_crossing_law(self):
-        # the target's CDF is the linear-boundary crossing law that the
-        # brute-force path oracle validates
-        from ifpt.verify import analytic_bm_linear_cdf
-
+        # the log-space survival equals the reflection formula for the
+        # linear-boundary crossing law where its weight does not overflow
         for gamma in (-0.5, 0.0, 0.5):
             t = InverseGaussianHitting(1.0, gamma)
             for s in (0.1, 0.7, 2.0, 10.0):
-                assert 1.0 - float(t.survival(s)) == pytest.approx(
-                    analytic_bm_linear_cdf(1.0, gamma, s), abs=1e-14
-                )
+                rt = math.sqrt(s)
+                cdf = ndtr((-1.0 - gamma * s) / rt) + math.exp(-2.0 * gamma) * ndtr((gamma * s - 1.0) / rt)
+                assert 1.0 - float(t.survival(s)) == pytest.approx(cdf, abs=1e-14)
 
     @given(TARGETS)
     def test_non_increasing_for_every_kind(self, target):

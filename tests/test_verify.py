@@ -8,11 +8,10 @@ from ifpt.boundary import BoundaryCurve, TimeGrid
 from ifpt.calibrate import PointInitial, calibrate
 from ifpt.processes import BrownianDrift
 from ifpt.rng import generator
-from ifpt.targets import Exponential, PointMass
+from ifpt.targets import Exponential, LevyHittingLaw, PointMass
 from ifpt.verify import (
     FptSample,
     GridMismatchError,
-    analytic_bm_level_cdf,
     analytic_bm_linear_cdf,
     bm_linear_crossing_mc,
     compare_boundaries,
@@ -33,6 +32,11 @@ LINEAR_ORACLE_MC = {
     (1.0, 0.5, 1.5): 0.228409,
     (1.0, 0.5, 2.0): 0.260044,
 }
+
+
+def level_cdf(c, t):
+    """P(sup_{s<=t} B_s >= c), the CDF of the level-hitting target."""
+    return 1.0 - float(LevyHittingLaw(c).survival(t))
 
 
 def flat_curve(level, grid):
@@ -63,7 +67,7 @@ class TestForwardFpt:
         p_hat = float((s.times <= 1.0).mean())
         corrected = 2.0 * ndtr(-(1.0 + 0.5826 * math.sqrt(1 / 512)))
         assert p_hat == pytest.approx(corrected, abs=0.006)
-        assert p_hat < analytic_bm_level_cdf(1.0, 1.0)
+        assert p_hat < level_cdf(1.0, 1.0)
 
     def test_times_are_grid_points_or_inf(self):
         grid = TimeGrid(1 / 8, 1 / 8, 16)
@@ -84,7 +88,7 @@ class TestInternalConsistency:
 class TestKsStatistic:
     def test_all_censored_vs_point_mass(self):
         grid = TimeGrid(1.0, 1.0, 2)
-        s = FptSample(times=np.full(100, INF), grid=grid, n=100)
+        s = FptSample(times=np.full(100, INF), grid=grid)
         assert ks_statistic(s, PointMass(1.0))[0] == 1.0
 
     def test_snapped_target_sample_within_dkw(self):
@@ -95,7 +99,7 @@ class TestKsStatistic:
         draws = -np.log1p(-generator(5, 0x33).random(n))
         idx = np.searchsorted(grid.points, draws, side="left")
         snapped = np.where(idx < len(grid), grid.points[np.minimum(idx, len(grid) - 1)], INF)
-        s = FptSample(times=snapped, grid=grid, n=n)
+        s = FptSample(times=snapped, grid=grid)
         cell = float(np.max(np.abs(np.diff(target.survival(grid.points)))))
         assert ks_statistic(s, target)[0] <= 1.63 / math.sqrt(n) + cell
 
@@ -103,12 +107,12 @@ class TestKsStatistic:
         # half the paths cross at t = 2, against a point mass at 3: the gap
         # is 0, 1/2, 1/2 at t = 1, 2, 3
         grid = TimeGrid(1.0, 1.0, 3)
-        s = FptSample(times=np.repeat([2.0, INF], 50), grid=grid, n=100)
+        s = FptSample(times=np.repeat([2.0, INF], 50), grid=grid)
         assert ks_statistic(s, PointMass(3.0)) == (0.5, 2.0)
 
     def test_empty_sample_rejected(self):
         grid = TimeGrid(1.0, 1.0, 1)
-        s = FptSample(times=np.array([]), grid=grid, n=0)
+        s = FptSample(times=np.array([]), grid=grid)
         with pytest.raises(ValueError):
             ks_statistic(s, Exponential(1.0))
 
@@ -166,20 +170,21 @@ class TestCompareBoundaries:
 
 class TestAnalyticOracles:
     def test_level_cdf_values(self):
-        assert analytic_bm_level_cdf(1.0, 1.0) == pytest.approx(0.3173105, abs=1e-7)
-        assert analytic_bm_level_cdf(1.0, 1e-6) < 1e-12
-        assert analytic_bm_level_cdf(1.0, 1e6) == pytest.approx(
+        assert level_cdf(1.0, 1.0) == pytest.approx(0.3173105, abs=1e-7)
+        assert level_cdf(1.0, 1e-6) < 1e-12
+        assert level_cdf(1.0, 1e6) == pytest.approx(
             2 * ndtr(-0.001), abs=1e-12
         )
 
     def test_linear_reduces_to_level_at_gamma_zero(self):
         for t in (0.3, 1.0, 5.0):
             assert analytic_bm_linear_cdf(1.0, 0.0, t) == pytest.approx(
-                analytic_bm_level_cdf(1.0, t), abs=1e-14
+                level_cdf(1.0, t), abs=1e-14
             )
 
     def test_linear_vanishes_at_zero_time(self):
         assert analytic_bm_linear_cdf(1.0, 1.0, 1e-8) < 1e-12
+        assert analytic_bm_linear_cdf(1.0, 1.0, 0.0) == 0.0
 
     def test_linear_formula_against_frozen_path_oracle(self):
         for (c, g, t), mc in LINEAR_ORACLE_MC.items():
