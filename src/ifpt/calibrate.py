@@ -20,7 +20,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid
 from .processes import Diagnostics, Levy, check_positions, step_increments
@@ -77,6 +76,10 @@ class NormalInitial(InitialDistribution):
             raise ValueError("std must be > 0")
 
     def ppf(self, u):
+        # scipy.special costs about 0.25 s and 25 MiB at import; only the
+        # runs that evaluate a special function load it
+        from scipy.special import ndtri
+
         return self.mean + self.std * ndtri(np.asarray(u, dtype=float))
 
 

@@ -89,8 +89,8 @@ def _integer(v, path: str, base_dir: str = ".") -> int:
     return v
 
 
-def _size(v, path: str) -> int:
-    """A count of particles, samples or grid steps: an integer up to MAX_SIZE."""
+def _size(v, path: str, base_dir: str = ".") -> int:
+    """A count of particles, samples, grid steps or substeps: an integer up to MAX_SIZE."""
     n = _integer(v, path)
     if n > MAX_SIZE:
         raise ConfigError(path, f"must be at most {MAX_SIZE}")
@@ -230,7 +230,7 @@ PROCESSES = {
     "diffusion": (
         IntervalDiffusion,
         {"beta": _coefficient, "sigma": _coefficient},
-        {"L": _extended, "R": _extended, "lower_boundary_behavior": _string, "dt_substeps": _integer},
+        {"L": _extended, "R": _extended, "lower_boundary_behavior": _string, "dt_substeps": _size},
     ),
 }
 

@@ -22,7 +22,6 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import exp1, gamma as gamma_fn, gammainc, gammaincc, pdtr
 
 from .rng import StreamKeys
 
@@ -53,6 +52,10 @@ def _quad(f, a, b, points=None) -> float:
 
 def upper_incomplete_gamma(s: float, z: float) -> float:
     """Gamma(s, z) for s > -2, z > 0, via the upward recurrence."""
+    # scipy.special costs about 0.25 s and 25 MiB at import; only the runs
+    # that evaluate a special function load it
+    from scipy.special import exp1, gamma as gamma_fn, gammaincc
+
     if z <= 0:
         raise ValueError("z must be > 0")
     if s > 0:
@@ -219,6 +222,8 @@ class OneSidedStable(_DensityComponent):
         c, a, lam = self.intensity, self.alpha, self.tempering
         if lam == 0.0:
             return c * eta ** (2.0 - a) / (2.0 - a)
+        from scipy.special import gamma as gamma_fn, gammainc  # see upper_incomplete_gamma
+
         return c * lam ** (a - 2.0) * gamma_fn(2.0 - a) * gammainc(2.0 - a, lam * eta)
 
     def tail_ppf(self, eta: float):
@@ -249,6 +254,8 @@ class GammaSubordinatorMeasure(_DensityComponent):
         return self.shape * math.exp(-self.rate * m) / m
 
     def tail_rate(self, y: float) -> float:
+        from scipy.special import exp1  # see upper_incomplete_gamma
+
         return self.shape * float(exp1(self.rate * y))
 
     def _magnitude_mean(self, lo: float, hi: float) -> float:
@@ -436,7 +443,9 @@ class BrownianDrift:
     def step(self, x: np.ndarray, dt: float, keys: StreamKeys, diag: Diagnostics | None) -> np.ndarray:
         z = keys.normals(slot=0)
         z *= self.vol * math.sqrt(dt)
-        z += x + self.mu * dt
+        # no normal is +-0, and x + 0.0 differs from x only in the sign of a
+        # zero, so mu == 0 skips a temporary without changing a bit
+        z += x + self.mu * dt if self.mu else x
         return z
 
 
@@ -451,6 +460,13 @@ class Levy:
             raise ValueError("small_jump_mode must be 'gaussian' or 'discard'")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must be in (0, 1)")
+        # an infinite jump rate would never end the Poisson table's search
+        try:
+            finite = all(math.isfinite(v) for v in self._stats)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("the jump rate, drift and small-jump variance at eta must be finite")
 
     state_bounds = (-math.inf, math.inf)
 
@@ -633,6 +649,8 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     Every uniform in (0, 1) lies below the last entry, so inversion never
     indexes past the table.
     """
+    from scipy.special import pdtr  # see upper_incomplete_gamma
+
     k = 16
     while pdtr(k, lam) < 1.0:
         k *= 2

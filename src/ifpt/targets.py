@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 
 class TargetDistribution:
@@ -67,6 +66,10 @@ class LevyHittingLaw(TargetDistribution):
             raise ValueError("c must be > 0")
 
     def survival(self, t):
+        # scipy.special costs about 0.25 s and 25 MiB at import; only the
+        # runs that evaluate a special function load it
+        from scipy.special import ndtr
+
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             s = 1.0 - 2.0 * ndtr(-self.c / np.sqrt(np.maximum(t, 0.0)))
@@ -96,6 +99,8 @@ class InverseGaussianHitting(TargetDistribution):
             raise ValueError("-2 * gamma * c must not overflow a double")
 
     def survival(self, t):
+        from scipy.special import log_ndtr, ndtr  # see LevyHittingLaw.survival
+
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             rt = np.sqrt(np.maximum(t, 0.0))

@@ -185,6 +185,22 @@ class TestCalibrateCommand:
         assert rc == 2
         assert "config error: process.vol: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "eta, alpha, intensity",
+        [
+            (0.01, 1.5, 1e307),  # the rate is inf, and the Poisson table search never ended
+            (1e-300, 1.9, 1.0),  # eta ** -alpha overflows a double
+        ],
+    )
+    def test_levy_rate_overflow_is_config_error(self, tmp_path, capsys, eta, alpha, intensity):
+        # both ended in an OverflowError traceback and exit 1
+        measure = [{"type": "stable", "side": "+", "alpha": alpha, "intensity": intensity}]
+        process = dict(CONFIG_B["process"], measure=measure, eta=eta)
+        rc, _ = run_calibrate(tmp_path, dict(CONFIG_B, process=process))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: process: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", [5, None])
     def test_non_string_output_is_config_error(self, tmp_path, capsys, value):
         # it used to calibrate, then fail in os.path with a TypeError traceback
@@ -461,6 +477,11 @@ class TestVerifyCommand:
 OVERSIZED = {
     "particles": ("calibrate", dict(CONFIG_A, particles=2**48 + 1)),
     "grid.steps": ("calibrate", dict(CONFIG_A, grid=dict(CONFIG_A["grid"], steps=2**48 + 1))),
+    # 10**300 substeps used to exit 3 with numpy's "Maximum allowed dimension exceeded"
+    "process.dt_substeps": (
+        "calibrate",
+        dict(CONFIG_OU, process=dict(CONFIG_OU["process"], dt_substeps=2**48 + 1)),
+    ),
     "verify.samples": (
         "verify",
         dict(CONFIG_A, verify={"boundary_csv": "b.csv", "samples": 2**48 + 1, "seed": 1, "tolerance": 0.1}),

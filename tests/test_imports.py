@@ -1,8 +1,13 @@
-"""No CLI command loads scipy.integrate; the quadrature helpers import it when called.
+"""CLI runs load no more of scipy than they evaluate.
 
 scipy.integrate, with the scipy.optimize/linalg/sparse tree it loads, costs
-about 0.3 s and 25 MiB per process.  The check runs in a fresh interpreter,
-because other test modules import scipy.integrate themselves.
+about 0.3 s and 25 MiB per process, and no CLI command integrates: only the
+quadrature helpers import it, when called.  scipy.special costs about
+0.25 s and 25 MiB; only normal initial laws, the two Brownian hitting laws
+and Lévy processes evaluate a special function, so a run of the OU
+diffusion to a Weibull law from a point loads no scipy module at all.  The
+checks run in a fresh interpreter, because other test modules import scipy
+themselves.
 """
 
 import os
@@ -24,8 +29,12 @@ SCRIPT = textwrap.dedent(
         heavy = [m for m in HEAVY if m in sys.modules]
         assert not heavy, f"{when}: {heavy} loaded"
 
+    def none_loaded(when):
+        scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert not scipy, f"{when}: {scipy[:5]} loaded"
+
     from ifpt import cli
-    loaded("import ifpt.cli")
+    none_loaded("import ifpt.cli")
 
     grid = {"t_start": 0.0625, "dt": 0.0625, "steps": 16}
     start = {"kind": "point", "x": 0.0}
@@ -37,22 +46,33 @@ SCRIPT = textwrap.dedent(
         "kind": "diffusion", "beta": {"name": "ou", "theta": 1.0}, "sigma": {"name": "constant", "value": 1.0},
         "L": 0.0, "R": None, "lower_boundary_behavior": "reflecting", "dt_substeps": 4,
     }
+    # the OU run goes first: it evaluates no special function
     configs = {
+        "ou": {"process": ou, "initial": {"kind": "point", "x": 0.5},
+               "target": {"kind": "weibull", "shape": 2.0, "scale": 1.0}},
         "brownian": {"process": {"kind": "brownian", "mu": 0.0, "vol": 1.0}, "initial": start,
                      "target": {"kind": "levy_hitting", "c": 1.0}},
         "levy": {"process": levy, "initial": start, "target": {"kind": "exponential", "rate": 1.0}},
-        "ou": {"process": ou, "initial": {"kind": "point", "x": 0.5},
-               "target": {"kind": "weibull", "shape": 2.0, "scale": 1.0}},
     }
     work = sys.argv[1]
-    for name, cfg in configs.items():
+
+    def write(name, cfg):
         path = os.path.join(work, name + ".json")
         with open(path, "w") as f:
             json.dump(dict(cfg, grid=grid, particles=500, seed=1), f)
+        return path
+
+    for name, cfg in configs.items():
         out = os.path.join(work, name)
-        assert cli.main(["calibrate", "-c", path, "-o", out]) == 0, name
+        assert cli.main(["calibrate", "-c", write(name, cfg), "-o", out]) == 0, name
         assert os.path.isfile(os.path.join(out, "boundary.csv")), name
         loaded(f"calibrate {name}")
+        if name == "ou":
+            check = {"boundary_csv": os.path.join(out, "boundary.csv"), "samples": 500, "seed": 2, "tolerance": 1.0}
+            vout = os.path.join(work, "ou-verify")
+            assert cli.main(["verify", "-c", write("ou-verify", dict(cfg, verify=check)), "-o", vout]) == 0
+            assert os.path.isfile(os.path.join(vout, "report.json"))
+            none_loaded("calibrate and verify ou")
 
     from scipy.special import gamma, gammainc
     from ifpt.processes import (
