@@ -16,6 +16,25 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+_libm_exp = np.frompyfunc(_exp_or_inf, 1, 1)
+
+
+def _exp(x):
+    """exp through libm, point by point; inf where it overflows, as np.exp gives.
+
+    np.exp picks a SIMD kernel at run time whose last bit can differ from
+    libm's, and S_target is written to boundary.csv bit for bit.
+    """
+    return np.asarray(_libm_exp(x), dtype=float)[()]
+
+
 class TargetDistribution:
     """Base interface; see the concrete kinds below."""
 
@@ -33,7 +52,7 @@ class Exponential(TargetDistribution):
             raise ValueError("rate must be >= 0 and finite")
 
     def survival(self, t):
-        return np.exp(-self.rate * np.asarray(t, dtype=float))
+        return _exp(-self.rate * np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -49,7 +68,7 @@ class Weibull(TargetDistribution):
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
-        return np.exp(-((t / self.scale) ** self.shape))
+        return _exp(-((t / self.scale) ** self.shape))
 
 
 @dataclass(frozen=True)
@@ -106,7 +125,7 @@ class InverseGaussianHitting(TargetDistribution):
             rt = np.sqrt(np.maximum(t, 0.0))
             # the weight exp(-2 gamma c) overflows for gamma c < -354, so the
             # second term is taken in log space
-            cdf = ndtr((-self.c - self.gamma * t) / rt) + np.exp(
+            cdf = ndtr((-self.c - self.gamma * t) / rt) + _exp(
                 -2.0 * self.gamma * self.c + log_ndtr((self.gamma * t - self.c) / rt)
             )
         return np.where(t > 0, 1.0 - cdf, 1.0)

@@ -11,14 +11,15 @@ import pytest
 from ifpt import cli
 
 # golden hashes for the two small benchmark configs below; regenerate by
-# running the CLI and hashing boundary.csv if the RNG stream ever changes
+# running the CLI and hashing boundary.csv if the RNG stream or a survival
+# formula ever changes
 GOLDEN_A_SHA = "8f43267267e6afd131f9e7dce3f567dff6f9b8206e78245341dfe1cd0ad154a4"
 GOLDEN_A_ROW1 = "0.03125,inf,0.99999998458274209,1"
-GOLDEN_B_SHA = "0b4f2e930f289ce5be6b2f5701c5d932f2288e996d57cd83db5f876d223b87e5"
+GOLDEN_B_SHA = "0d3f32f22a7d2d8e42a836d39fdf268570e0611d80080cd6b4b2a82c91f32727"
 # fpt.txt of a verify run on config B (Poisson counts and the fixed-curve
 # kill) and boundary.csv of config OU (Euler substeps, reflection)
 GOLDEN_B_FPT_SHA = "de3cca2172e58bd9562ba5aef05aa362b0a628f4fc41fdf07a5cfe72739c05ce"
-GOLDEN_OU_SHA = "4d2687afa54273d2f32b74665e3308256130313995271b3342bcefc759385ecb"
+GOLDEN_OU_SHA = "150ca51a15eb5d005b269fac3ed07165a695d03a43c2c90141a048002edfbc50"
 
 CONFIG_A = {
     "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0},

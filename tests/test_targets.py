@@ -93,6 +93,17 @@ class TestSurvival:
         assert float(Exponential(0.3).survival(t)) == pytest.approx(math.exp(-0.3 * t), rel=1e-14)
         assert float(Weibull(1.7, 2.0).survival(t)) == pytest.approx(math.exp(-((t / 2.0) ** 1.7)), rel=1e-14)
 
+    def test_exp_is_libm_on_every_cpu(self):
+        # np.exp's SIMD kernels differ from libm in the last bit on some
+        # inputs, and S_target is written to boundary.csv bit for bit
+        ts = np.linspace(1e-3, 20.0, 20_000)
+        assert Exponential(0.3).survival(ts).tolist() == [math.exp(v) for v in (-0.3 * ts).tolist()]
+        arg = -((ts / 1.5) ** 1.7)
+        assert Weibull(1.7, 1.5).survival(ts).tolist() == [math.exp(v) for v in arg.tolist()]
+        # where math.exp raises, np.exp's inf
+        with np.errstate(over="ignore"):
+            assert Exponential(1.0).survival(-1000.0) == math.inf
+
     def test_levy_hitting_value(self):
         # closed form 2 Phi(-c/sqrt(t)) checked against an independent CDF
         want = 1.0 - 2.0 * phi_oracle(-1.0)
