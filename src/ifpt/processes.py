@@ -460,7 +460,7 @@ class Levy:
             raise ValueError("small_jump_mode must be 'gaussian' or 'discard'")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must be in (0, 1)")
-        # an infinite jump rate would never end the Poisson table's search
+        # an infinite jump rate overflows the Poisson table's search in the first step
         try:
             finite = all(math.isfinite(v) for v in self._stats)
         except OverflowError:

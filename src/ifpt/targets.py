@@ -23,16 +23,13 @@ def _exp_or_inf(v: float) -> float:
         return math.inf
 
 
-_libm_exp = np.frompyfunc(_exp_or_inf, 1, 1)
-
-
 def _exp(x):
     """exp through libm, point by point; inf where it overflows, as np.exp gives.
 
     np.exp picks a SIMD kernel at run time whose last bit can differ from
     libm's, and S_target is written to boundary.csv bit for bit.
     """
-    return np.asarray(_libm_exp(x), dtype=float)[()]
+    return np.asarray(np.frompyfunc(_exp_or_inf, 1, 1)(x), dtype=float)[()]
 
 
 class TargetDistribution:

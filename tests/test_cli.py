@@ -189,7 +189,7 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize(
         "eta, alpha, intensity",
         [
-            (0.01, 1.5, 1e307),  # the rate is inf, and the Poisson table search never ended
+            (0.01, 1.5, 1e307),  # the rate is inf, and the Poisson table search overflowed
             (1e-300, 1.9, 1.0),  # eta ** -alpha overflows a double
         ],
     )
