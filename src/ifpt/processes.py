@@ -383,7 +383,8 @@ class Constant:
     value: float
 
     def __call__(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.value)
+        # a scalar broadcasts against x and rounds as the full array would
+        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -538,7 +539,8 @@ class IntervalDiffusion:
 
     A substep landing at or above R is rejected (position kept, counter
     incremented); the lower boundary is folded back or rejected depending
-    on ``lower_boundary_behavior``.
+    on ``lower_boundary_behavior``.  ``beta`` and ``sigma`` return a new
+    array or a scalar, and the step writes into the arrays they return.
     """
 
     beta: object
@@ -569,24 +571,44 @@ class IntervalDiffusion:
         h = dt / m
         sqh = math.sqrt(h)
         z = keys.normal_block(m, slot=0)
-        reflect = self.lower_boundary_behavior == "reflecting"
+        L, R = self.L, self.R
+        lower, upper = math.isfinite(L), math.isfinite(R)
+        reflect = lower and self.lower_boundary_behavior == "reflecting"
         for j in range(m):
-            prop = x + np.asarray(self.beta(x), dtype=float) * h
-            prop += np.asarray(self.sigma(x), dtype=float) * sqh * z[j]
-            if math.isfinite(self.L):
-                if reflect:
-                    prop = self.L + np.abs(prop - self.L)
-                else:
-                    low = prop <= self.L
-                    if low.any():
-                        prop[low] = x[low]
-                        if diag is not None:
-                            diag.lower_rejections += int(low.sum())
-            high = prop >= self.R
-            if high.any():
-                prop[high] = x[high]
-                if diag is not None:
-                    diag.upper_rejections += int(high.sum())
+            # x + beta(x) * h + sigma(x) * sqh * z[j], built in place in the
+            # expression's rounding order
+            prop = self.beta(x)
+            if np.ndim(prop):
+                prop *= h
+                prop += x
+            else:
+                prop = x + prop * h
+            noise = self.sigma(x)
+            if np.ndim(noise):
+                noise *= sqh
+                noise *= z[j]
+            else:
+                noise = np.multiply(z[j], noise * sqh, out=z[j])
+            prop += noise
+            if reflect:
+                # L + |prop - L|; with L == 0 both shifts are exact no-ops
+                if L:
+                    prop -= L
+                np.abs(prop, out=prop)
+                if L:
+                    prop += L
+            elif lower:
+                low = prop <= L
+                if low.any():
+                    prop[low] = x[low]
+                    if diag is not None:
+                        diag.lower_rejections += int(low.sum())
+            if upper:
+                high = prop >= R
+                if high.any():
+                    prop[high] = x[high]
+                    if diag is not None:
+                        diag.upper_rejections += int(high.sum())
             x = prop
         return x
 

@@ -105,11 +105,20 @@ def generator(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
 
 
-def _words(key: int, z: np.ndarray, t: np.ndarray) -> None:
-    """splitmix64 outputs at the Weyl positions z of the stream started at
-    key, in place; t is scratch of z's length."""
-    z *= _GOLDEN
-    z += key
+def _start(key: int, offset: int) -> int:
+    """(offset * G + key) mod 2^64: added to id * G, it gives the Weyl
+    position id + offset of the stream started at key, in two passes."""
+    return (offset * _GOLDEN + key) & _MASK
+
+
+def _id_words(ids) -> np.ndarray:
+    """ids as uint64 words, without a copy for an int64 array."""
+    return np.asarray(ids, dtype=np.int64).view(np.uint64)
+
+
+def _mix(z: np.ndarray, t: np.ndarray) -> None:
+    """splitmix64 finalizer on the Weyl positions z, in place; t is scratch
+    of z's shape."""
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         np.right_shift(z, shift, out=t)
         z ^= t
@@ -136,13 +145,16 @@ def _to_uniforms(z: np.ndarray) -> np.ndarray:
 
 def keyed_uniforms(key: int, ids: np.ndarray) -> np.ndarray:
     """Uniforms in (0, 1), one per id, from the Weyl sequence started at key."""
-    u = np.empty(len(ids))
+    w = _id_words(ids)
+    u = np.empty(len(w))
     bits = u.view(np.uint64)
-    tmp = np.empty(min(len(ids), _CHUNK), dtype=np.uint64)
-    for a in range(0, len(ids), _CHUNK):
+    tmp = np.empty(min(len(w), _CHUNK), dtype=np.uint64)
+    start = _start(key, 1)
+    for a in range(0, len(w), _CHUNK):
         z = bits[a : a + _CHUNK]
-        np.add(ids[a : a + _CHUNK], 1, out=z.view(np.int64))
-        _words(key, z, tmp[: len(z)])
+        np.multiply(w[a : a + _CHUNK], _GOLDEN, out=z)
+        z += start
+        _mix(z, tmp[: len(z)])
         _to_uniforms(z)
     return u
 
@@ -180,91 +192,118 @@ def keyed_normals(key: int, ids: np.ndarray, out: np.ndarray | None = None) -> n
     ``out``, if given, is a contiguous float64 array of len(ids) that
     receives them.
     """
-    n = len(ids)
     if out is None:
-        out = np.empty(n)
-    if n == 0:
-        return out
+        out = np.empty(len(ids))
+    _normal_rows((key,), ids, out.reshape(1, -1))
+    return out
+
+
+def _normal_rows(keys, ids: np.ndarray, out: np.ndarray) -> None:
+    """Row j of the C-contiguous (len(keys), len(ids)) array out receives
+    keyed_normals(keys[j], ids).
+
+    The ziggurat's fast pass runs row by row.  The draws that fail it, from
+    every row, are then resolved together, one slow-path round per attempt,
+    each entry with its own row's key.
+    """
+    n = len(ids)
+    if n == 0 or not len(keys):
+        return
+    w = _id_words(ids)
     m = min(n, _CHUNK)
     t = np.empty(m, dtype=np.uint64)
     layer = np.empty(m, dtype=np.intp)
     gather = np.empty(m)
     reject = np.empty(m, dtype=bool)
-    bits = out.view(np.uint64)
-    pos, lay = [], []
-    for a in range(0, n, _CHUNK):
-        z = bits[a : a + _CHUNK]
-        c = len(z)
-        np.add(ids[a : a + c], 1, out=z.view(np.int64))
-        _words(key, z, t[:c])
-        _ziggurat(z, layer[:c], gather[:c], t[:c].view(np.float64), reject[:c])
-        p = reject[:c].nonzero()[0]
-        lay.append(layer[p])
-        pos.append(p + a if a else p)
+    flat = out.reshape(-1)
+    bits = flat.view(np.uint64)
+    pos, lay, counts = [], [], []
+    for j, key in enumerate(keys):
+        start = _start(key, 1)
+        count = 0
+        for a in range(0, n, _CHUNK):
+            c = min(_CHUNK, n - a)
+            z = bits[j * n + a : j * n + a + c]
+            np.multiply(w[a : a + c], _GOLDEN, out=z)
+            z += start
+            _mix(z, t[:c])
+            _ziggurat(z, layer[:c], gather[:c], t[:c].view(np.float64), reject[:c])
+            p = reject[:c].nonzero()[0]
+            lay.append(layer[p])
+            pos.append(p + (j * n + a) if j or a else p)
+            count += len(p)
+        counts.append(count)
     pos = pos[0] if len(pos) == 1 else np.concatenate(pos)
     lay = lay[0] if len(lay) == 1 else np.concatenate(lay)
+    # each open draw's Weyl position minus its offset, id * G + key; the
+    # offset of (attempt, part) is added in the round
+    one = len(keys) == 1
+    base = w[pos if one else pos % n]
+    base *= _GOLDEN
+    base += keys[0] if one else np.repeat(np.array(keys, dtype=np.uint64), counts)
     attempt = 1
     while len(pos):
-        pos, lay = _slow_path(key, ids, out, pos, lay, attempt)
+        still, lay = _slow_path(base, flat, pos, lay, attempt)
+        pos, base = pos[still], base[still]
         attempt += 1
-    return out
 
 
-def _slow_path(key, ids, out, pos, lay, attempt):
+def _slow_path(base, out, pos, lay, attempt):
     """One attempt for the draws at positions pos of out, whose value
-    x = u * X[lay] failed the rectangle test; returns those still open.
+    x = u * X[lay] failed the rectangle test.  base holds each draw's
+    id * G + key.  Returns the indices into pos of the draws still open,
+    and their layers.
 
-    Each id reads two words, of parts 0 and 1 of this attempt.  A layer
+    Each draw reads two words, of parts 0 and 1 of this attempt.  A layer
     above 0 keeps x when a uniform from part 0 falls under the density in
     the wedge, and otherwise takes part 1 as a fresh ziggurat draw.  Layer 0
     is the tail beyond R, drawn from the uniforms of both parts.  np.exp
     only decides the wedge comparison.
     """
     m = len(pos)
-    block = np.empty(2 * m, dtype=np.uint64)
-    t = np.empty(2 * m, dtype=np.uint64)
-    sub = ids[pos]
-    start = 1 + (2 * attempt << _BLOCK_SHIFT)
-    np.add(sub, start, out=block[:m].view(np.int64))
-    np.add(sub, start + (1 << _BLOCK_SHIFT), out=block[m:].view(np.int64))
-    _words(key, block, t)
-    zu, zc = block[:m], block[m:]
+    offsets = [1 + ((2 * attempt + part) << _BLOCK_SHIFT) for part in (0, 1)]
+    block = np.add.outer(np.array([_start(0, o) for o in offsets], dtype=np.uint64), base)
+    t = np.empty_like(block)
+    _mix(block, t)
+    zu, zc = block
     tail = (lay == 0).nonzero()[0]
     if len(tail):
         # zc[tail] is a copy, so the words stay for the fresh draws below
-        tail_pos, tail_b = pos[tail], _to_uniforms(zc[tail])
+        tail_b = _to_uniforms(zc[tail])
     u = _to_uniforms(zu)
 
     c_layer = np.empty(m, dtype=np.intp)
     c_reject = np.empty(m, dtype=bool)
-    xc = _ziggurat(zc, c_layer, t[:m].view(np.float64), t[m:].view(np.float64), c_reject)
+    xc = _ziggurat(zc, c_layer, t[0].view(np.float64), t[1].view(np.float64), c_reject)
     x = out[pos]
     kept = _F_LOW[lay] + u * _F_RISE[lay] < np.exp(-0.5 * x * x)
     fresh = (~kept).nonzero()[0]
     out[pos[fresh]] = xc[fresh]
     still = fresh[c_reject[fresh]]
-    pos, lay = pos[still], c_layer[still]
     if len(tail):
-        again = _tail(out, tail_pos, u[tail], tail_b)
-        pos, lay = np.concatenate([pos, again]), np.concatenate([lay, np.zeros_like(again)])
-    return pos, lay
+        # the wedge keeps every tail draw (_F_LOW[0] is -inf), so none is in fresh
+        again = tail[_tail(out, pos[tail], u[tail], tail_b)]
+        c_layer[again] = 0
+        still = np.concatenate([still, again])
+    return still, c_layer[still]
 
 
 def _tail(out, pos, a, b) -> np.ndarray:
     """Marsaglia's (1964) tail method: from uniforms a and b, R + s with
     s = -log(a) / R is kept when -2 log(b) > s^2, with the sign of out[pos].
-    Writes the kept values and returns the positions left for the next attempt.
+    Writes the kept values and returns the indices into pos of the rest,
+    left for the next attempt.
 
     It runs per element with math.log, whose bits do not depend on the SIMD
     kernels numpy picks for the CPU; about 0.03 % of draws get here.
     """
     again = []
-    for p, ua, ub in zip(pos.tolist(), a.tolist(), b.tolist()):
+    for i, (p, ua, ub) in enumerate(zip(pos.tolist(), a.tolist(), b.tolist())):
         s = -math.log(ua) / ZIGGURAT_R
         if -2.0 * math.log(ub) > s * s:
             out[p] = math.copysign(ZIGGURAT_R + s, out[p])
         else:
-            again.append(p)
+            again.append(i)
     return np.array(again, dtype=np.intp)
 
 
@@ -291,10 +330,10 @@ class StreamKeys:
         return keyed_normals(self._key(slot, row), self.ids)
 
     def normal_block(self, rows: int, slot: int = 0) -> np.ndarray:
-        """(rows, len(ids)) block of standard normals; row j is keyed (slot, j)."""
+        """(rows, len(ids)) block of standard normals; row j is keyed (slot, j)
+        and equals ``normals(slot, j)``."""
         block = np.empty((rows, len(self.ids)))
-        for j in range(rows):
-            keyed_normals(self._key(slot, j), self.ids, out=block[j])
+        _normal_rows([self._key(slot, j) for j in range(rows)], self.ids, block)
         return block
 
     # perfbench/tracer.py binds the two names below at install; they go

@@ -194,6 +194,68 @@ class TestDiffusionStep:
         o2 = step_increments(model, p2, 1 / 64, k)
         assert np.all(o1 <= o2)
 
+    @pytest.mark.parametrize(
+        "model, x0",
+        [
+            # reflection at L != 0, OU drift, constant sigma
+            (IntervalDiffusion(beta=OU(1.0), sigma=Constant(1.3), L=0.3,
+                               lower_boundary_behavior="reflecting", dt_substeps=3), (0.3, 1.0)),
+            # lower and finite-R rejection, constant beta, linear sigma
+            (IntervalDiffusion(beta=Constant(0.2), sigma=Linear(0.5, 0.25), L=-1.0, R=1.0,
+                               dt_substeps=4), (-1.0, 1.0)),
+            # power sigma and Bessel drift, reflecting below, rejecting above
+            (IntervalDiffusion(beta=BesselDrift(3.0), sigma=Power(0.5, 1.0), L=0.5, R=2.0,
+                               lower_boundary_behavior="reflecting", dt_substeps=2), (0.5, 2.0)),
+            # the OU diffusion of the benchmark: reflection at L == 0, R infinite
+            (IntervalDiffusion(beta=OU(1.0), sigma=Constant(1.0), L=0.0,
+                               lower_boundary_behavior="reflecting", dt_substeps=4), (0.0, 1.0)),
+        ],
+    )
+    def test_step_is_the_euler_expression_bit_for_bit(self, model, x0):
+        def reference(x, dt, keys, diag):
+            # one Euler expression per substep, each coefficient a full array
+            m = model.dt_substeps
+            h = dt / m
+            z = keys.normal_block(m, slot=0)
+            full = lambda v: np.broadcast_to(np.asarray(v, dtype=float), x.shape)  # noqa: E731
+            for j in range(m):
+                prop = x + full(model.beta(x)) * h
+                prop += full(model.sigma(x)) * math.sqrt(h) * z[j]
+                if math.isfinite(model.L):
+                    if model.lower_boundary_behavior == "reflecting":
+                        prop = model.L + np.abs(prop - model.L)
+                    else:
+                        low = prop <= model.L
+                        prop[low] = x[low]
+                        diag.lower_rejections += int(low.sum())
+                high = prop >= model.R
+                prop[high] = x[high]
+                diag.upper_rejections += int(high.sum())
+                x = prop
+            return x
+
+        n = 5000
+        lo, hi = x0
+        # open interior, with a tenth of the particles next to each end
+        x = np.linspace(lo, hi, n + 2)[1:-1]
+        x[: n // 10] = lo + (hi - lo) * 1e-3
+        x[-n // 10 :] = hi - (hi - lo) * 1e-3
+        x_in = x.copy()
+        got_diag, want_diag = Diagnostics(), Diagnostics()
+        got, want = x, x.copy()
+        for k in range(8):
+            keys = keys_for(n, seed=21, step=k, ids=np.arange(3, 3 * n + 3, 3))
+            got = model.step(got, 1 / 16, keys, got_diag)
+            want = reference(want, 1 / 16, keys, want_diag)
+            assert got.tobytes() == want.tobytes()
+        assert got_diag == want_diag
+        # the step writes into its own arrays, never into its input
+        assert x.tobytes() == x_in.tobytes()
+        if math.isfinite(model.R):
+            assert got_diag.upper_rejections > 0
+        if model.lower_boundary_behavior == "unattainable":
+            assert got_diag.lower_rejections > 0
+
     def test_sigma_positivity_validated(self):
         with pytest.raises(ValueError):
             IntervalDiffusion(beta=Constant(0.0), sigma=Constant(-1.0))

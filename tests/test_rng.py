@@ -20,7 +20,7 @@ from ifpt.rng import (
     ZIGGURAT_R,
     ZIGGURAT_V,
     StreamKeys,
-    _words,
+    _mix,
     _ziggurat,
     keyed_normals,
     keyed_uniforms,
@@ -63,6 +63,21 @@ class TestKeyedDraws:
         block = keys.normal_block(3, slot=1)
         for j in range(3):
             assert np.array_equal(block[j], keys.normals(slot=1, row=j))
+        # the block resolves the slow draws of all its rows in one round per
+        # attempt; at a permuted width across three chunks, every row takes
+        # the wedge, the redraw and the tail
+        n = 2 * _CHUNK + 4321
+        ids = np.random.default_rng(12).permutation(10**6)[:n]
+        keys = StreamKeys(seed=20261018, step_index=3, ids=ids, n_total=10**6)
+        block = keys.normal_block(4, slot=0)
+        for j in range(4):
+            row = keys.normals(slot=0, row=j)
+            assert row.tobytes() == block[j].tobytes()
+            layer, x, reject = first_pass(keys._key(0, j), ids)
+            kept = row == x
+            assert np.any(reject & (layer > 0) & kept)
+            assert np.any(reject & (layer > 0) & ~kept)
+            assert np.any(reject & (layer == 0))
 
     def test_keys_separate_streams(self):
         ids = np.arange(1000)
@@ -97,9 +112,12 @@ PINNED_NORMALS = [
 
 
 def first_pass(key, ids):
-    """(layer, x, reject) of each id's first ziggurat draw."""
+    """(layer, x, reject) of each id's first ziggurat draw, from its word at
+    Weyl position id + 1 of the stream started at key."""
     z = (ids + 1).astype(np.uint64)
-    _words(key, z, np.empty_like(z))
+    z *= 0x9E3779B97F4A7C15
+    z += key
+    _mix(z, np.empty_like(z))
     layer, reject = np.empty(len(ids), dtype=np.intp), np.empty(len(ids), dtype=bool)
     x = _ziggurat(z, layer, np.empty(len(ids)), np.empty(len(ids)), reject)
     return layer, x, reject
