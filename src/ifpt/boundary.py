@@ -57,6 +57,11 @@ class TimeGrid:
     def __len__(self) -> int:
         return self.steps
 
+    @property
+    def max_step(self) -> float:
+        """The longest step from 0 through the points, as a run takes them."""
+        return float(np.max(np.diff(self.points, prepend=0.0)))
+
     def matches(self, points) -> bool:
         """Do the times equal the grid points one for one, each within GRID_RTOL?"""
         points = np.asarray(points, dtype=float)

@@ -226,12 +226,11 @@ def calibrate(
     diagnostics["survival_gap_max"] = float(np.max(np.abs(achieved - s_target)))
     if isinstance(model, Levy):
         # small-jump budget: in discard mode the per-step martingale error
-        # exceeds C with probability at most max_dt * variance / C^2
-        max_dt = float(np.max(np.diff(np.concatenate([[0.0], grid.points]))))
+        # exceeds C with probability at most max_step * variance / C^2
         diagnostics["small_jump_mode"] = model.small_jump_mode
         diagnostics["eta"] = model.eta
         diagnostics["small_jump_variance"] = model._stats[2]
-        diagnostics["doob_step_budget_times_C2"] = max_dt * model._stats[2]
+        diagnostics["doob_step_budget_times_C2"] = grid.max_step * model._stats[2]
     return BoundaryEstimate(
         curve=curve,
         survival_target=s_target,

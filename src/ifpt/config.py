@@ -303,6 +303,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     initial = _build(raw["initial"], "initial", "kind", INITIALS, base_dir) if "initial" in raw else None
     target = _build(raw["target"], "target", "kind", TARGETS, base_dir) if "target" in raw else None
     grid = build_grid(raw["grid"]) if "grid" in raw else None
+    if isinstance(process, Levy) and grid is not None:
+        # the jump-count table grows with the per-step mean; bound it before any step
+        try:
+            process.check_step(grid.max_step)
+        except ValueError as exc:
+            raise ConfigError("process", str(exc)) from exc
 
     particles = None
     if "particles" in raw:

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .rng import StreamKeys
+from .rng import MAX_SIZE, StreamKeys
 
 QUAD_REL_TOL = 1e-8
 SCALE_ABS_TOL = 1e-10
@@ -513,6 +513,12 @@ class Levy:
 
         return ppf
 
+    def check_step(self, dt: float) -> None:
+        """Raise ValueError if a step of length dt needs a jump-count table
+        of more than MAX_SIZE entries."""
+        if self.jump_rate > 0:
+            _poisson_table_end(self.jump_rate * dt)
+
     def step(self, x: np.ndarray, dt: float, keys: StreamKeys, diag: Diagnostics | None) -> np.ndarray:
         out = x + self.drift * dt
         if self.gauss_std > 0:
@@ -664,6 +670,25 @@ def step_increments(
     return model.step(positions, dt, stream_keys, diag)
 
 
+def _poisson_table_end(lam: float) -> int:
+    """The last count K of _poisson_cdf(lam)'s table before trimming: the
+    first 16 * 2^j with P(N <= K) == 1.0.
+
+    Raises ValueError, before allocating anything, when the table would pass
+    MAX_SIZE entries.  P(N <= lam) is below 1, so that holds for every
+    lam >= MAX_SIZE (and for an infinite lam) without a search.
+    """
+    from scipy.special import pdtr  # see upper_incomplete_gamma
+
+    if lam < MAX_SIZE:
+        k = 16
+        while k < MAX_SIZE and pdtr(k, lam) < 1.0:
+            k *= 2
+        if k < MAX_SIZE:
+            return k
+    raise ValueError(f"the Poisson table of a mean of {lam:g} jumps per step would pass {MAX_SIZE} entries")
+
+
 @lru_cache(maxsize=64)
 def _poisson_cdf(lam: float) -> np.ndarray:
     """P(N <= k) for N ~ Poisson(lam), k = 0, 1, ..., K, with P(N <= K) == 1.0.
@@ -673,10 +698,7 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     """
     from scipy.special import pdtr  # see upper_incomplete_gamma
 
-    k = 16
-    while pdtr(k, lam) < 1.0:
-        k *= 2
-    cdf = pdtr(np.arange(k + 1), lam)
+    cdf = pdtr(np.arange(_poisson_table_end(lam) + 1), lam)
     cdf = cdf[: int(np.argmax(cdf >= 1.0)) + 1]
     cdf.setflags(write=False)
     return cdf

@@ -34,6 +34,9 @@ class TestTimeGrid:
         g = TimeGrid(0.5, 0.25, 3)
         assert list(g.points) == [0.5, 0.75, 1.0]
         assert len(g) == 3
+        # the first step, from 0 to t_start, is the longest here
+        assert g.max_step == 0.5
+        assert TimeGrid(0.25, 0.25, 3).max_step == 0.25
 
     def test_rejects_zero_and_negative(self):
         with pytest.raises(GridError, match="dt"):

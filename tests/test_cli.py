@@ -191,10 +191,16 @@ class TestCalibrateCommand:
         [
             (0.01, 1.5, 1e307),  # the rate is inf, and the Poisson table search overflowed
             (1e-300, 1.9, 1.0),  # eta ** -alpha overflows a double
+            # finite rates whose jump-count table per step would pass MAX_SIZE
+            # entries: they exited 3 in the first step, the second after numpy
+            # asked for 512 PiB
+            (0.01, 1.5, 1e290),
+            (0.01, 1.5, 1e15),
         ],
     )
-    def test_levy_rate_overflow_is_config_error(self, tmp_path, capsys, eta, alpha, intensity):
-        # both ended in an OverflowError traceback and exit 1
+    def test_levy_rate_overflow_is_config_error(self, tmp_path, capsys, monkeypatch, eta, alpha, intensity):
+        # the first two ended in an OverflowError traceback and exit 1
+        monkeypatch.setattr(cli, "calibrate", lambda *a: pytest.fail("calibrated before checking the rate"))
         measure = [{"type": "stable", "side": "+", "alpha": alpha, "intensity": intensity}]
         process = dict(CONFIG_B["process"], measure=measure, eta=eta)
         rc, _ = run_calibrate(tmp_path, dict(CONFIG_B, process=process))

@@ -10,13 +10,14 @@ from scipy import stats
 
 from scipy.special import ndtr, ndtri
 
-from ifpt.processes import _poisson_cdf, poisson_jumps
+from ifpt.processes import _poisson_cdf, _poisson_table_end, poisson_jumps
 from ifpt.rng import (
     _CHUNK,
     _F_LOW,
     _F_RISE,
     _RATIO,
     _X,
+    MAX_SIZE,
     ZIGGURAT_R,
     ZIGGURAT_V,
     StreamKeys,
@@ -199,6 +200,11 @@ class TestPoissonCounts:
         assert table[-1] == 1.0
         u = np.array([np.nextafter(0.0, 1.0), 2.0**-53, 0.5, 1.0 - 2.0**-53, np.nextafter(1.0, 0.0)])
         assert np.all(poisson_counts(lam, u) < len(table))
+
+    @pytest.mark.parametrize("lam", [1.5e14, float(MAX_SIZE), 1e300, math.inf])
+    def test_a_table_past_max_size_is_refused_before_allocating(self, lam):
+        with pytest.raises(ValueError, match="would pass"):
+            _poisson_table_end(lam)
 
     def test_inversion_by_hand(self):
         # P(N = 0) = e^-1 for lam = 1: uniforms on either side of it
