@@ -73,9 +73,10 @@ def read_boundary_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_fpt_sample(path, sample: FptSample):
+    # one %-format and one write: "%.17g" prints each float as format_float does
+    times = sample.times.tolist()
     with open(path, "w") as fh:
-        for t in sample.times:
-            fh.write(format_float(t) + "\n")
+        fh.write("%.17g\n" * len(times) % tuple(times))
 
 
 def grid_document(grid: TimeGrid) -> dict:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ifpt import io
 from ifpt.boundary import BoundaryCurve, BoundaryEstimate, TimeGrid
+from ifpt.verify import FptSample
 
 
 def test_format_float_17_digits_round_trip():
@@ -26,6 +27,19 @@ def test_format_float_17_digits_round_trip():
 def test_parse_inverts_format(x):
     y = io.parse_float(io.format_float(x))
     assert np.float64(y).tobytes() == np.float64(x).tobytes()
+
+
+@settings(max_examples=200)
+@given(times=st.lists(st.floats(allow_nan=False), max_size=50))
+def test_fpt_sample_lines_are_format_float(times):
+    # the writer formats the whole sample at once; each line must be the
+    # element's format_float, signed zeros, subnormals and infinities included
+    sample = FptSample(times=np.array(times, dtype=float), grid=TimeGrid(1.0, 1.0, 1))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "fpt.txt")
+        io.write_fpt_sample(path, sample)
+        with open(path) as fh:
+            assert fh.read() == "".join(io.format_float(t) + "\n" for t in times)
 
 
 @settings(max_examples=100)
