@@ -296,6 +296,15 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def _check_step(process, grid: TimeGrid | None, path: str) -> None:
+    # a Levy jump-count table grows with the per-step mean; bound it before any step
+    if isinstance(process, Levy) and grid is not None:
+        try:
+            process.check_step(grid.max_step)
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from exc
+
+
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     _check_keys(raw, "", set(), _TOP_KEYS)
 
@@ -303,12 +312,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     initial = _build(raw["initial"], "initial", "kind", INITIALS, base_dir) if "initial" in raw else None
     target = _build(raw["target"], "target", "kind", TARGETS, base_dir) if "target" in raw else None
     grid = build_grid(raw["grid"]) if "grid" in raw else None
-    if isinstance(process, Levy) and grid is not None:
-        # the jump-count table grows with the per-step mean; bound it before any step
-        try:
-            process.check_step(grid.max_step)
-        except ValueError as exc:
-            raise ConfigError("process", str(exc)) from exc
+    _check_step(process, grid, "process")
 
     particles = None
     if "particles" in raw:
@@ -347,9 +351,11 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             side = c[name]
             spath = f"compare.{name}"
             _check_keys(side, spath, {"process", "initial", "target"})
+            side_process = _build(side["process"], f"{spath}.process", "kind", PROCESSES)
+            _check_step(side_process, grid, f"{spath}.process")
             sides.append(
                 (
-                    _build(side["process"], f"{spath}.process", "kind", PROCESSES),
+                    side_process,
                     _build(side["initial"], f"{spath}.initial", "kind", INITIALS, base_dir),
                     _build(side["target"], f"{spath}.target", "kind", TARGETS, base_dir),
                 )

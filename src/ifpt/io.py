@@ -72,11 +72,17 @@ def read_boundary_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ts), np.array(bs)
 
 
+_FPT_CHUNK = 1 << 14
+
+
 def write_fpt_sample(path, sample: FptSample):
-    # one %-format and one write: "%.17g" prints each float as format_float does
-    times = sample.times.tolist()
+    # one %-format and one write per chunk: "%.17g" prints each float as
+    # format_float does, and memory stays bounded for any sample size
+    times = sample.times
     with open(path, "w") as fh:
-        fh.write("%.17g\n" * len(times) % tuple(times))
+        for a in range(0, len(times), _FPT_CHUNK):
+            chunk = times[a : a + _FPT_CHUNK].tolist()
+            fh.write("%.17g\n" * len(chunk) % tuple(chunk))
 
 
 def grid_document(grid: TimeGrid) -> dict:

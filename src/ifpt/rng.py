@@ -186,14 +186,9 @@ def _ziggurat(z, layer, gather, scratch, reject) -> np.ndarray:
     return u
 
 
-def keyed_normals(key: int, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals, one per id, from the Weyl sequence started at key.
-
-    ``out``, if given, is a contiguous float64 array of len(ids) that
-    receives them.
-    """
-    if out is None:
-        out = np.empty(len(ids))
+def keyed_normals(key: int, ids: np.ndarray) -> np.ndarray:
+    """Standard normals, one per id, from the Weyl sequence started at key."""
+    out = np.empty(len(ids))
     _normal_rows((key,), ids, out.reshape(1, -1))
     return out
 
@@ -230,17 +225,16 @@ def _normal_rows(keys, ids: np.ndarray, out: np.ndarray) -> None:
             _ziggurat(z, layer[:c], gather[:c], t[:c].view(np.float64), reject[:c])
             p = reject[:c].nonzero()[0]
             lay.append(layer[p])
-            pos.append(p + (j * n + a) if j or a else p)
+            pos.append(p + (j * n + a))
             count += len(p)
         counts.append(count)
-    pos = pos[0] if len(pos) == 1 else np.concatenate(pos)
-    lay = lay[0] if len(lay) == 1 else np.concatenate(lay)
+    pos = np.concatenate(pos)
+    lay = np.concatenate(lay)
     # each open draw's Weyl position minus its offset, id * G + key; the
     # offset of (attempt, part) is added in the round
-    one = len(keys) == 1
-    base = w[pos if one else pos % n]
+    base = w[pos % n]
     base *= _GOLDEN
-    base += keys[0] if one else np.repeat(np.array(keys, dtype=np.uint64), counts)
+    base += np.repeat(np.array(keys, dtype=np.uint64), counts)
     attempt = 1
     while len(pos):
         still, lay = _slow_path(base, flat, pos, lay, attempt)

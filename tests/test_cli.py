@@ -208,6 +208,21 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: process: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("intensity", [1e290, 1e15])
+    def test_compare_levy_rate_overflow_is_config_error(self, tmp_path, capsys, monkeypatch, side, intensity):
+        # a compare side's jump-count table per step would pass MAX_SIZE
+        # entries; it used to reach calibrate and exit 3
+        monkeypatch.setattr(cli, "calibrate", lambda *a: pytest.fail("calibrated before checking the rate"))
+        measure = [{"type": "stable", "side": "+", "alpha": 1.5, "intensity": intensity}]
+        levy = dict(CONFIG_B["process"], measure=measure, eta=0.01)
+        cfg = TestCompareCommand()._cfg(2.0, 1.0)
+        cfg["compare"][side]["process"] = levy
+        rc = cli.main(["compare", "-c", write_config(tmp_path, cfg), "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: compare.{side}.process: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", [5, None])
     def test_non_string_output_is_config_error(self, tmp_path, capsys, value):
         # it used to calibrate, then fail in os.path with a TypeError traceback

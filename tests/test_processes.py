@@ -167,6 +167,18 @@ class TestDiffusionStep:
         assert np.all(out < 1.0)
         assert diag.upper_rejections > 0
 
+    def test_overflow_with_infinite_r_is_not_an_upper_rejection(self):
+        # with R infinite there is no >= R test: a substep that overflows to
+        # +inf stays, is not counted, and the next step refuses the position
+        model = IntervalDiffusion(beta=Constant(0.0), sigma=Power(150.0, 1.0), L=0.0, R=math.inf, dt_substeps=2)
+        diag = Diagnostics()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = step_increments(model, np.full(200, 9.0), 1 / 16, keys_for(200, seed=12), diag)
+        assert np.any(out == math.inf)
+        assert diag.upper_rejections == 0
+        with pytest.raises(StateSpaceError, match="positions must be finite"):
+            step_increments(model, out, 1 / 16, keys_for(200, seed=12, step=1), diag)
+
     def test_unattainable_lower_rejection(self):
         model = IntervalDiffusion(beta=Constant(0.0), sigma=Constant(1.0), L=0.0, R=math.inf)
         diag = Diagnostics()
