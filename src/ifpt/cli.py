@@ -140,8 +140,6 @@ def cmd_verify(args) -> int:
     require(config, "process", "initial", "target", "grid", "verify")
     v = config.verify
     csv_in = v["boundary_csv"]
-    if not os.path.isabs(csv_in):
-        csv_in = os.path.join(v["base_dir"], csv_in)
     report_path = _out_path(args, config, "report", "report.json")
     fpt_path = _out_path(args, config, "fpt", "fpt.txt") if "fpt" in config.output else None
     paths = {"verify.boundary_csv": csv_in, "output.report": report_path}

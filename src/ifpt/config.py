@@ -4,11 +4,14 @@ The document is schema-validated before any computation: unknown keys are
 rejected, every error message names the offending key path.  Grids exclude
 zero, so t_start must be at least dt.
 
-Targets, initial laws, processes, Lévy measure components and diffusion
-coefficients are read through one table each.  A table maps the value of
-the kind tag to the constructor and to the parsers of its required and
-optional keys.  An optional key that is absent leaves the model's own
-default in place, so every default is written once, in the model class.
+Every object in the document, from the top level down to a mixture
+component, is read by one reader, ``_fields``: it checks the object's keys
+against a table of key -> parser and parses each value at its key path, in
+table order.  Targets, initial laws, processes, Lévy measure components and
+diffusion coefficients are tagged: a table maps the value of the kind tag
+to the constructor and to the parsers of its required and optional keys.
+An optional key that is absent leaves the model's own default in place, so
+every default is written once, in the model class.
 """
 
 from __future__ import annotations
@@ -62,15 +65,30 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(obj, dict):
-        raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
+def _fields(spec, path: str, required: dict, optional: dict, base_dir: str) -> dict:
+    """The object's values by key, each parsed at its key path in table order.
+
+    required and optional map a key to its parser; an absent optional key
+    is left out.  A parser's TypeError or ValueError is reported at path.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(path, f"expected an object, got {type(spec).__name__}")
     for key in required:
-        if key not in obj:
+        if key not in spec:
             raise ConfigError(path, f"missing key '{key}'")
-    unknown = set(obj) - required - set(optional)
+    unknown = set(spec) - set(required) - set(optional)
     if unknown:
         raise ConfigError(path, f"unknown key '{sorted(unknown)[0]}'")
+    try:
+        return {
+            key: parse(spec[key], f"{path}.{key}" if path else key, base_dir)
+            for key, parse in {**required, **optional}.items()
+            if key in spec
+        }
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 # Value parsers: (value, key path, directory of the config file) -> value.
@@ -89,26 +107,33 @@ def _integer(v, path: str, base_dir: str = ".") -> int:
     return v
 
 
-def _size(v, path: str, base_dir: str = ".") -> int:
-    """A count of particles, samples, grid steps or substeps: an integer up to MAX_SIZE."""
-    n = _integer(v, path)
-    if n > MAX_SIZE:
-        raise ConfigError(path, f"must be at most {MAX_SIZE}")
-    return n
+def _within(parse, ok, message: str):
+    """The parser that reads with parse and reports message at the key path
+    unless ok(value)."""
+
+    def parse_within(v, path: str, base_dir: str = "."):
+        value = parse(v, path)
+        if not ok(value):
+            raise ConfigError(path, message)
+        return value
+
+    return parse_within
 
 
-def parse_seed(v, path: str) -> int:
-    """A seed: an integer in [0, 2**64)."""
-    seed = _integer(v, path)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(path, "seed must be a 64-bit unsigned integer")
-    return seed
+# a count of particles, samples, grid steps or substeps
+_size = _within(_integer, lambda n: n <= MAX_SIZE, f"must be at most {MAX_SIZE}")
+parse_seed = _within(_integer, lambda n: 0 <= n < 2**64, "seed must be a 64-bit unsigned integer")
 
 
 def _string(v, path: str, base_dir: str = ".") -> str:
     if not isinstance(v, str):
         raise ConfigError(path, "expected a string")
     return v
+
+
+def _path(v, path: str, base_dir: str) -> str:
+    """A file path string; a relative one is under the config's directory."""
+    return os.path.join(base_dir, _string(v, path))
 
 
 def _extended(v, path: str, base_dir: str = ".") -> float | None:
@@ -132,7 +157,7 @@ def _as_is(v, path: str, base_dir: str = "."):
 def _samples(relpath, path: str, base_dir: str) -> np.ndarray:
     if not isinstance(relpath, str):
         raise ConfigError(path, "expected a file path string")
-    full = relpath if os.path.isabs(relpath) else os.path.join(base_dir, relpath)
+    full = os.path.join(base_dir, relpath)
     try:
         data = np.loadtxt(full, ndmin=1)
     except OSError as exc:
@@ -146,93 +171,59 @@ def _samples(relpath, path: str, base_dir: str) -> np.ndarray:
     return data
 
 
-def _build(spec, path: str, tag: str, table: dict, base_dir: str = "."):
+def _list(parse, what: str, nonempty: bool = False):
+    """The parser of a list whose items parse reads at path[i]."""
+
+    def parse_list(items, path: str, base_dir: str) -> tuple:
+        if not isinstance(items, list) or (nonempty and not items):
+            raise ConfigError(path, f"expected a {what}")
+        return tuple(parse(item, f"{path}[{i}]", base_dir) for i, item in enumerate(items))
+
+    return parse_list
+
+
+def _dict_of(required: dict, optional: dict):
+    """The parser of an object with these keys: its values by key."""
+    return lambda spec, path, base_dir: _fields(spec, path, required, optional, base_dir)
+
+
+def _tuple_of(required: dict):
+    """The parser of an object with exactly these keys: its values in table order."""
+    return lambda spec, path, base_dir: tuple(_fields(spec, path, required, {}, base_dir).values())
+
+
+def _build(spec, path: str, tag: str, table: dict, base_dir: str):
     """The object that ``spec[tag]`` names in table, built from the other keys.
 
     Required values go to the constructor in table order, optional ones by
     key.  A constructor's TypeError or ValueError is reported at path.
     """
-    allowed = {key for _, required, optional in table.values() for key in (*required, *optional)}
-    _check_keys(spec, path, {tag}, allowed)
-    kind = _string(spec[tag], f"{path}.{tag}")
+    # the keys of every kind are allowed until the tag names one
+    allowed = {key: _as_is for _, required, optional in table.values() for key in (*required, *optional)}
+    kind = _fields(spec, path, {tag: _string}, allowed, base_dir)[tag]
     if kind not in table:
         raise ConfigError(f"{path}.{tag}", f"unknown {tag} {kind!r}, expected one of {', '.join(table)}")
     make, required, optional = table[kind]
-    _check_keys(spec, path, {tag, *required}, set(optional))
+    values = _fields(spec, path, {tag: _string, **required}, optional, base_dir)
+    # a parsed None (null for L or R) keeps the default, like an absent key
+    options = {key: v for key, v in values.items() if key in optional and v is not None}
     try:
-        args = [parse(spec[key], f"{path}.{key}", base_dir) for key, parse in required.items()]
-        options = {
-            key: parse(spec[key], f"{path}.{key}", base_dir) for key, parse in optional.items() if key in spec
-        }
-        # a parsed None (null for L or R) keeps the default, like an absent key
-        return make(*args, **{key: v for key, v in options.items() if v is not None})
-    except ConfigError:
-        raise
+        return make(*(values[key] for key in required), **options)
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _components(items, path: str, base_dir: str) -> tuple:
-    if not isinstance(items, list) or not items:
-        raise ConfigError(path, "expected a nonempty list of components")
-    comps = []
-    for i, item in enumerate(items):
-        ipath = f"{path}[{i}]"
-        _check_keys(item, ipath, {"weight", "target"})
-        weight = _number(item["weight"], f"{ipath}.weight")
-        comps.append((weight, _build(item["target"], f"{ipath}.target", "kind", TARGETS, base_dir)))
-    return tuple(comps)
+def _one_of(tag: str, table: dict):
+    """The parser of an object whose tag names its kind in table."""
+    return lambda spec, path, base_dir: _build(spec, path, tag, table, base_dir)
 
 
-def _measure(items, path: str, base_dir: str) -> LevyMeasureSpec:
-    if not isinstance(items, list):
-        raise ConfigError(path, "expected a list of measure components")
-    return LevyMeasureSpec(
-        tuple(_build(item, f"{path}[{i}]", "type", MEASURES, base_dir) for i, item in enumerate(items))
-    )
-
-
-def _coefficient(spec, path: str, base_dir: str):
-    return _build(spec, path, "name", COEFFICIENTS, base_dir)
-
-
-def _levy(a: float, sigma2: float, measure: LevyMeasureSpec, **options) -> Levy:
-    return Levy(LevyTriple(a, sigma2, measure), **options)
+def _levy(a: float, sigma2: float, measure: tuple, **options) -> Levy:
+    return Levy(LevyTriple(a, sigma2, LevyMeasureSpec(measure)), **options)
 
 
 # kind -> (constructor, {required key: parser}, {optional key: parser}); the
 # required keys are listed in the order of the constructor's arguments
-
-TARGETS = {
-    "exponential": (Exponential, {"rate": _number}, {}),
-    "weibull": (Weibull, {"shape": _number, "scale": _number}, {}),
-    "levy_hitting": (LevyHittingLaw, {"c": _number}, {}),
-    "inverse_gaussian_hitting": (InverseGaussianHitting, {"c": _number, "gamma": _number}, {}),
-    "point_mass": (PointMass, {"t0": _number}, {}),
-    "mixture": (Mixture, {"components": _components}, {}),
-    "empirical": (EmpiricalTarget, {"path": _samples}, {}),
-}
-
-INITIALS = {
-    "point": (PointInitial, {"x": _number}, {}),
-    "uniform": (UniformInitial, {"a": _number, "b": _number}, {}),
-    "normal": (NormalInitial, {"mean": _number, "std": _number}, {}),
-    "empirical": (EmpiricalInitial, {"path": _samples}, {}),
-}
-
-PROCESSES = {
-    "brownian": (BrownianDrift, {"mu": _number, "vol": _number}, {}),
-    "levy": (
-        _levy,
-        {"a": _number, "sigma2": _number, "measure": _measure},
-        {"small_jump_mode": _string, "eta": _number},
-    ),
-    "diffusion": (
-        IntervalDiffusion,
-        {"beta": _coefficient, "sigma": _coefficient},
-        {"L": _extended, "R": _extended, "lower_boundary_behavior": _string, "dt_substeps": _size},
-    ),
-}
 
 MEASURES = {
     "atoms": (FiniteAtoms, {"atoms": _as_is}, {}),
@@ -251,19 +242,88 @@ COEFFICIENTS = {
     "bessel_drift": (BesselDrift, {"delta": _number}, {}),
     "power": (Power, {"p": _number, "coeff": _number}, {}),
 }
+_coefficient = _one_of("name", COEFFICIENTS)
+
+PROCESSES = {
+    "brownian": (BrownianDrift, {"mu": _number, "vol": _number}, {}),
+    "levy": (
+        _levy,
+        {"a": _number, "sigma2": _number, "measure": _list(_one_of("type", MEASURES), "list of measure components")},
+        {"small_jump_mode": _string, "eta": _number},
+    ),
+    "diffusion": (
+        IntervalDiffusion,
+        {"beta": _coefficient, "sigma": _coefficient},
+        {"L": _extended, "R": _extended, "lower_boundary_behavior": _string, "dt_substeps": _size},
+    ),
+}
+
+INITIALS = {
+    "point": (PointInitial, {"x": _number}, {}),
+    "uniform": (UniformInitial, {"a": _number, "b": _number}, {}),
+    "normal": (NormalInitial, {"mean": _number, "std": _number}, {}),
+    "empirical": (EmpiricalInitial, {"path": _samples}, {}),
+}
 
 
-def build_grid(spec: dict, path: str = "grid") -> TimeGrid:
-    _check_keys(spec, path, {"t_start", "dt", "steps"})
-    t_start = _number(spec["t_start"], f"{path}.t_start")
-    dt = _number(spec["dt"], f"{path}.dt")
-    steps = _size(spec["steps"], f"{path}.steps")
+def _target(spec, path: str, base_dir: str):
+    # a function, so that a mixture component can name TARGETS before it exists
+    return _build(spec, path, "kind", TARGETS, base_dir)
+
+
+TARGETS = {
+    "exponential": (Exponential, {"rate": _number}, {}),
+    "weibull": (Weibull, {"shape": _number, "scale": _number}, {}),
+    "levy_hitting": (LevyHittingLaw, {"c": _number}, {}),
+    "inverse_gaussian_hitting": (InverseGaussianHitting, {"c": _number, "gamma": _number}, {}),
+    "point_mass": (PointMass, {"t0": _number}, {}),
+    "mixture": (
+        Mixture,
+        {"components": _list(_tuple_of({"weight": _number, "target": _target}), "nonempty list of components", True)},
+        {},
+    ),
+    "empirical": (EmpiricalTarget, {"path": _samples}, {}),
+}
+
+
+def _grid(spec, path: str, base_dir: str) -> TimeGrid:
+    fields = {"t_start": _number, "dt": _number, "steps": _size}
+    t_start, dt, steps = _fields(spec, path, fields, {}, base_dir).values()
     if t_start < dt:
         raise ConfigError(f"{path}.t_start", "t_start must be >= dt (grids exclude 0)")
     try:
         return TimeGrid(t_start, dt, steps)
     except GridError as exc:
         raise ConfigError(path, str(exc)) from exc
+
+
+_SIDE = {"process": _one_of("kind", PROCESSES), "initial": _one_of("kind", INITIALS), "target": _target}
+
+# section -> parser; each section is optional, and a command requires the
+# ones it needs
+SECTIONS = {
+    **_SIDE,
+    "grid": _grid,
+    "particles": _within(_size, lambda n: n >= 2, "need at least 2 particles"),
+    "seed": parse_seed,
+    "output": _dict_of({}, {"boundary_csv": _string, "report": _string, "fpt": _string}),
+    "verify": _dict_of(
+        {
+            "boundary_csv": _path,
+            "samples": _within(_size, lambda n: n >= 1, "need at least 1 sample"),
+            "seed": parse_seed,
+            "tolerance": _within(_number, lambda x: 0.0 < x <= 1.0, "tolerance must be in (0, 1]"),
+        },
+        {},
+    ),
+    "compare": _tuple_of(
+        {
+            "left": _tuple_of(_SIDE),
+            "right": _tuple_of(_SIDE),
+            "slack": _within(_number, lambda x: x >= 0, "slack must be >= 0"),
+        }
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -282,17 +342,16 @@ class RunConfig:
     raw: dict
 
 
-_TOP_KEYS = {"process", "initial", "target", "grid", "particles", "seed", "output", "verify", "compare"}
-
-
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("", f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError("", "document nested too deeply") from exc
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -306,77 +365,16 @@ def _check_step(process, grid: TimeGrid | None, path: str) -> None:
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
-    _check_keys(raw, "", set(), _TOP_KEYS)
-
-    process = _build(raw["process"], "process", "kind", PROCESSES) if "process" in raw else None
-    initial = _build(raw["initial"], "initial", "kind", INITIALS, base_dir) if "initial" in raw else None
-    target = _build(raw["target"], "target", "kind", TARGETS, base_dir) if "target" in raw else None
-    grid = build_grid(raw["grid"]) if "grid" in raw else None
-    _check_step(process, grid, "process")
-
-    particles = None
-    if "particles" in raw:
-        particles = _size(raw["particles"], "particles")
-        if particles < 2:
-            raise ConfigError("particles", "need at least 2 particles")
-    seed = parse_seed(raw["seed"], "seed") if "seed" in raw else None
-
-    output = {}
-    if "output" in raw:
-        _check_keys(raw["output"], "output", set(), {"boundary_csv", "report", "fpt"})
-        output = {key: _string(v, f"output.{key}") for key, v in raw["output"].items()}
-
-    verify = None
-    if "verify" in raw:
-        v = raw["verify"]
-        _check_keys(v, "verify", {"boundary_csv", "samples", "seed", "tolerance"})
-        verify = {
-            "boundary_csv": _string(v["boundary_csv"], "verify.boundary_csv"),
-            "samples": _size(v["samples"], "verify.samples"),
-            "seed": parse_seed(v["seed"], "verify.seed"),
-            "tolerance": _number(v["tolerance"], "verify.tolerance"),
-            "base_dir": base_dir,
-        }
-        if verify["samples"] < 1:
-            raise ConfigError("verify.samples", "need at least 1 sample")
-        if not 0.0 < verify["tolerance"] <= 1.0:
-            raise ConfigError("verify.tolerance", "tolerance must be in (0, 1]")
-
-    compare = None
-    if "compare" in raw:
-        c = raw["compare"]
-        _check_keys(c, "compare", {"left", "right", "slack"})
-        sides = []
-        for name in ("left", "right"):
-            side = c[name]
-            spath = f"compare.{name}"
-            _check_keys(side, spath, {"process", "initial", "target"})
-            side_process = _build(side["process"], f"{spath}.process", "kind", PROCESSES)
-            _check_step(side_process, grid, f"{spath}.process")
-            sides.append(
-                (
-                    side_process,
-                    _build(side["initial"], f"{spath}.initial", "kind", INITIALS, base_dir),
-                    _build(side["target"], f"{spath}.target", "kind", TARGETS, base_dir),
-                )
-            )
-        slack = _number(c["slack"], "compare.slack")
-        if slack < 0:
-            raise ConfigError("compare.slack", "slack must be >= 0")
-        compare = (sides[0], sides[1], slack)
-
-    return RunConfig(
-        process=process,
-        initial=initial,
-        target=target,
-        grid=grid,
-        particles=particles,
-        seed=seed,
-        output=output,
-        verify=verify,
-        compare=compare,
-        raw=raw,
-    )
+    try:
+        sections = _fields(raw, "", {}, SECTIONS, base_dir)
+    except RecursionError as exc:
+        # the reader recurses into each level of a nested mixture
+        raise ConfigError("", "document nested too deeply") from exc
+    grid = sections.get("grid")
+    _check_step(sections.get("process"), grid, "process")
+    for name, side in zip(("left", "right"), sections.get("compare", ())):
+        _check_step(side[0], grid, f"compare.{name}.process")
+    return RunConfig(**{**dict.fromkeys(SECTIONS), "output": {}, **sections}, raw=raw)
 
 
 def require(config: RunConfig, *sections: str):

@@ -30,31 +30,18 @@ def parse_float(s: str) -> float:
         raise CsvFormatError(f"bad float literal {s.strip()!r}") from exc
 
 
-def estimate_csv_lines(est: BoundaryEstimate):
-    yield "t,b,S_target,S_achieved"
-    rows = zip(
-        est.curve.grid.points,
-        est.curve.values,
-        est.survival_target,
-        est.survival_achieved,
-    )
-    for t, b, st, sa in rows:
-        yield (
-            f"{format_float(t)},{format_float(b)},"
-            f"{format_float(st)},{format_float(sa)}"
-        )
-
-
 def write_estimate_csv(path, est: BoundaryEstimate):
-    with open(path, "w") as fh:
-        for line in estimate_csv_lines(est):
-            fh.write(line + "\n")
+    columns = (est.curve.grid.points, est.curve.values, est.survival_target, est.survival_achieved)
+    _write_rows(path, "t,b,S_target,S_achieved", *columns)
 
 
 def read_boundary_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """(times, values) from a boundary CSV; header must start with t,b."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"boundary CSV is not UTF-8: {exc}") from exc
     if not lines:
         raise CsvFormatError("empty boundary CSV")
     header = [h.strip() for h in lines[0].split(",")]
@@ -72,17 +59,26 @@ def read_boundary_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ts), np.array(bs)
 
 
-_FPT_CHUNK = 1 << 14
-
-
 def write_fpt_sample(path, sample: FptSample):
-    # one %-format and one write per chunk: "%.17g" prints each float as
-    # format_float does, and memory stays bounded for any sample size
-    times = sample.times
+    _write_rows(path, "", sample.times)
+
+
+_CHUNK = 1 << 14
+
+
+def _write_rows(path, header: str, *columns):
+    """One line per row of the columns, after the header line if there is one.
+
+    One %-format and one write per chunk of rows: "%.17g" prints each float
+    as format_float does, and memory stays bounded for any row count.
+    """
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        for a in range(0, len(times), _FPT_CHUNK):
-            chunk = times[a : a + _FPT_CHUNK].tolist()
-            fh.write("%.17g\n" * len(chunk) % tuple(chunk))
+        if header:
+            fh.write(header + "\n")
+        for a in range(0, len(columns[0]), _CHUNK):
+            rows = np.column_stack([c[a : a + _CHUNK] for c in columns])
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def grid_document(grid: TimeGrid) -> dict:

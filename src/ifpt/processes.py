@@ -17,6 +17,7 @@ tests pin this sign down.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -39,12 +40,12 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach its tolerance."""
 
 
-def _quad(f, a, b, points=None) -> float:
+def _quad(f, a, b) -> float:
     # scipy.integrate (and the scipy.optimize/linalg/sparse tree it loads)
     # costs about 0.3 s and 25 MiB at import, and no CLI command integrates
     from scipy.integrate import quad
 
-    val, err = quad(f, a, b, epsabs=1e-13, epsrel=QUAD_REL_TOL, limit=400, points=points)
+    val, err = quad(f, a, b, epsabs=1e-13, epsrel=QUAD_REL_TOL, limit=400)
     if err > 100 * max(1e-12, QUAD_REL_TOL * abs(val)):
         raise QuadratureError(f"quadrature residual {err:g} for value {val:g}")
     return val
@@ -76,6 +77,12 @@ class FiniteAtoms:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        # float() would also take True and "1" from a config
+        for pair in self.atoms:
+            if not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 2:
+                raise ValueError("each atom must be a pair [size, rate]")
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in pair):
+                raise ValueError("atom sizes and rates must be numbers")
         object.__setattr__(
             self, "atoms", tuple((float(x), float(r)) for x, r in self.atoms)
         )

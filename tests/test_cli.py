@@ -142,6 +142,23 @@ class TestCalibrateCommand:
         assert "line" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "content, problem",
+        [
+            # each used to exit 3 with "runtime error: ..."
+            (b'{"seed": 1, "x": "\xff"}', "config error: cannot read config: 'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 100_000 + b"]" * 100_000, "config error: document nested too deeply"),
+        ],
+        ids=["not-utf-8", "nested-too-deeply"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, problem):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        rc = cli.main(["calibrate", "-c", str(path), "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(problem) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "target, path, problem",
         [
             # P(xi = 0) = 0.4, which calibrated and exited 0 when unchecked
@@ -366,6 +383,26 @@ class TestVerifyCommand:
         cfg = self._verify_cfg(str(bad), tolerance=0.1)
         rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path)])
         assert rc == 2
+
+    def test_non_utf8_boundary_csv_exits_2(self, tmp_path, capsys):
+        # it used to exit 3 with "runtime error: 'utf-8' codec can't decode ..."
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t,b\n0.03125,\xff\n")
+        cfg = self._verify_cfg(str(bad), tolerance=0.1)
+        rc = cli.main(["verify", "-c", write_config(tmp_path, cfg, "v.json"), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: boundary CSV is not UTF-8: ") and err.count("\n") == 1
+
+    def test_relative_boundary_csv_is_read_from_the_config_directory(self, tmp_path, monkeypatch):
+        _, out = run_calibrate(tmp_path, CONFIG_A)
+        cfg = self._verify_cfg("boundary.csv", tolerance=1.0, samples=100)
+        cfg_path = write_config(out, cfg, "v.json")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert cli.main(["verify", "-c", cfg_path, "-o", "vout"]) == 0
+        assert (elsewhere / "vout" / "report.json").exists()
 
     def test_missing_boundary_csv_exits_2(self, tmp_path, capsys):
         cfg = self._verify_cfg(str(tmp_path / "absent.csv"), tolerance=0.1)

@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -162,6 +163,25 @@ def test_mixture_target_recursion():
     assert isinstance(cfg.target, Mixture)
 
 
+def test_relative_boundary_csv_is_under_the_config_directory(tmp_path):
+    verify = {"boundary_csv": "b.csv", "samples": 10, "seed": 1, "tolerance": 0.1}
+    cfg = parse_config(dict(BASE, verify=verify), base_dir=str(tmp_path))
+    assert cfg.verify["boundary_csv"] == str(tmp_path / "b.csv")
+    absolute = str(tmp_path / "elsewhere" / "b.csv")
+    cfg = parse_config(dict(BASE, verify=dict(verify, boundary_csv=absolute)), base_dir="/unused")
+    assert cfg.verify["boundary_csv"] == absolute
+
+
+def test_mixture_nested_past_the_recursion_limit_is_config_error():
+    # it used to escape as a RecursionError, which the CLI reports as exit 3
+    target = {"kind": "exponential", "rate": 1.0}
+    for _ in range(sys.getrecursionlimit()):
+        target = {"kind": "mixture", "components": [{"weight": 1.0, "target": target}]}
+    with pytest.raises(ConfigError) as err:
+        parse_config(dict(BASE, target=target))
+    assert (err.value.path, str(err.value)) == ("", "document nested too deeply")
+
+
 def test_compare_section_shape():
     side = {
         "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0},
@@ -305,6 +325,13 @@ def test_extra_key_rejected_at_its_path(table_name, kind, tmp_path):
             "weights must be >= 0",
         ),
         ("target", {"kind": "empirical", "path": "nonpositive.txt"}, "target", "samples must be > 0"),
+        # each used to be read through float() and calibrate with exit 0
+        ("measure", {"type": "atoms", "atoms": [[True, 1.0]]}, "process.measure[0]", "sizes and rates must be numbers"),
+        ("measure", {"type": "atoms", "atoms": [["1", 1.0]]}, "process.measure[0]", "sizes and rates must be numbers"),
+        # each used to report the text of a Python TypeError or ValueError
+        ("measure", {"type": "atoms", "atoms": [[1.0, None]]}, "process.measure[0]", "sizes and rates must be numbers"),
+        ("measure", {"type": "atoms", "atoms": [[1.0, 2.0, 3.0]]}, "process.measure[0]", r"a pair \[size, rate\]"),
+        ("measure", {"type": "atoms", "atoms": [1.0]}, "process.measure[0]", r"a pair \[size, rate\]"),
     ],
 )
 def test_parameter_outside_the_model_rejected_at_its_path(table_name, spec, path, problem, tmp_path):
@@ -330,3 +357,103 @@ def test_readme_specs_parse():
     for doc in docs:
         if "kind" not in doc:
             parse_config(doc)
+
+
+SIDE = {
+    "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0},
+    "initial": {"kind": "point", "x": 0.0},
+    "target": {"kind": "exponential", "rate": 1.0},
+}
+VERIFY = {"boundary_csv": "b.csv", "samples": 100, "seed": 1, "tolerance": 0.1}
+
+
+def _compare(**changes):
+    return {"compare": dict({"left": SIDE, "right": SIDE, "slack": 0.0}, **changes), "grid": BASE["grid"]}
+
+
+def _mixture(*components):
+    return dict(BASE, target={"kind": "mixture", "components": list(components)})
+
+
+EXP = {"kind": "exponential", "rate": 1.0}
+
+
+@pytest.mark.parametrize(
+    "doc, path, message",
+    [
+        # the top level
+        ([], "", "expected an object, got list"),
+        (dict(BASE, extra=1), "", "unknown key 'extra'"),
+        (dict(BASE, particles=1), "particles", "need at least 2 particles"),
+        (dict(BASE, particles=2.5), "particles", "expected an integer"),
+        (dict(BASE, seed="1"), "seed", "expected an integer"),
+        (dict(BASE, seed=2**64), "seed", "seed must be a 64-bit unsigned integer"),
+        # the grid
+        (dict(BASE, grid=[0.125, 0.125, 8]), "grid", "expected an object, got list"),
+        (dict(BASE, grid={"t_start": 0.125, "dt": 0.125}), "grid", "missing key 'steps'"),
+        (dict(BASE, grid=dict(BASE["grid"], bogus=1)), "grid", "unknown key 'bogus'"),
+        (dict(BASE, grid=dict(BASE["grid"], dt="0.125")), "grid.dt", "expected a finite number"),
+        (dict(BASE, grid=dict(BASE["grid"], steps=8.0)), "grid.steps", "expected an integer"),
+        (dict(BASE, grid=dict(BASE["grid"], t_start=0.0625)), "grid.t_start", "t_start must be >= dt (grids exclude 0)"),
+        (dict(BASE, grid=dict(BASE["grid"], dt=0.0)), "grid", "dt must be > 0"),
+        (dict(BASE, grid=dict(BASE["grid"], steps=0)), "grid", "steps must be >= 1"),
+        (dict(BASE, grid={"t_start": 1e308, "dt": 1e308, "steps": 3}), "grid", "the last grid point must be finite"),
+        # output
+        (dict(BASE, output="out"), "output", "expected an object, got str"),
+        (dict(BASE, output={"csv": "b.csv"}), "output", "unknown key 'csv'"),
+        (dict(BASE, output={"boundary_csv": 1}), "output.boundary_csv", "expected a string"),
+        (dict(BASE, output={"fpt": None}), "output.fpt", "expected a string"),
+        # verify
+        (dict(BASE, verify=["b.csv"]), "verify", "expected an object, got list"),
+        (dict(BASE, verify={k: v for k, v in VERIFY.items() if k != "tolerance"}), "verify", "missing key 'tolerance'"),
+        (dict(BASE, verify=dict(VERIFY, alpha=0.05)), "verify", "unknown key 'alpha'"),
+        (dict(BASE, verify=dict(VERIFY, boundary_csv=1)), "verify.boundary_csv", "expected a string"),
+        (dict(BASE, verify=dict(VERIFY, samples="100")), "verify.samples", "expected an integer"),
+        (dict(BASE, verify=dict(VERIFY, samples=0)), "verify.samples", "need at least 1 sample"),
+        (dict(BASE, verify=dict(VERIFY, seed=-1)), "verify.seed", "seed must be a 64-bit unsigned integer"),
+        (dict(BASE, verify=dict(VERIFY, tolerance=0.0)), "verify.tolerance", "tolerance must be in (0, 1]"),
+        (dict(BASE, verify=dict(VERIFY, tolerance=1.5)), "verify.tolerance", "tolerance must be in (0, 1]"),
+        (dict(BASE, verify=dict(VERIFY, tolerance=True)), "verify.tolerance", "expected a finite number"),
+        # compare and its sides
+        ({"compare": [SIDE, SIDE]}, "compare", "expected an object, got list"),
+        ({"compare": {"left": SIDE, "right": SIDE}}, "compare", "missing key 'slack'"),
+        (_compare(bogus=1), "compare", "unknown key 'bogus'"),
+        (_compare(slack=-0.1), "compare.slack", "slack must be >= 0"),
+        (_compare(slack="0"), "compare.slack", "expected a finite number"),
+        (_compare(left=[SIDE]), "compare.left", "expected an object, got list"),
+        (_compare(right={"process": SIDE["process"], "initial": SIDE["initial"]}), "compare.right", "missing key 'target'"),
+        (_compare(left=dict(SIDE, grid=BASE["grid"])), "compare.left", "unknown key 'grid'"),
+        (
+            _compare(left=dict(SIDE, process={"kind": "brownian", "mu": 0.0, "vol": "1"})),
+            "compare.left.process.vol",
+            "expected a finite number",
+        ),
+        (
+            _compare(right=dict(SIDE, initial={"kind": "dirac", "x": 0.0})),
+            "compare.right.initial.kind",
+            "unknown kind 'dirac', expected one of point, uniform, normal, empirical",
+        ),
+        (_compare(right=dict(SIDE, target={"kind": "point_mass", "t0": -1.0})), "compare.right.target", "t0 must be > 0"),
+        # mixture components
+        (dict(BASE, target={"kind": "mixture", "components": EXP}), "target.components", "expected a nonempty list of components"),
+        (_mixture(1.0), "target.components[0]", "expected an object, got float"),
+        (_mixture({"target": EXP}), "target.components[0]", "missing key 'weight'"),
+        (_mixture({"weight": 1.0, "target": EXP, "rate": 1.0}), "target.components[0]", "unknown key 'rate'"),
+        (
+            _mixture({"weight": 0.5, "target": EXP}, {"weight": True, "target": EXP}),
+            "target.components[1].weight",
+            "expected a finite number",
+        ),
+        (
+            _mixture({"weight": 1.0, "target": {"kind": "gamma", "rate": 1.0}}),
+            "target.components[0].target.kind",
+            "unknown kind 'gamma', expected one of exponential, weibull, levy_hitting, inverse_gaussian_hitting, "
+            "point_mass, mixture, empirical",
+        ),
+    ],
+)
+def test_malformed_section_reported_at_its_path(doc, path, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.path == path
+    assert str(err.value) == (f"{path}: {message}" if path else message)

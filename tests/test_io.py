@@ -32,7 +32,7 @@ def test_parse_inverts_format(x):
 @settings(max_examples=200)
 @given(times=st.lists(st.floats(allow_nan=False), max_size=50))
 def test_fpt_sample_lines_are_format_float(times):
-    # the writer formats the whole sample at once; each line must be the
+    # the writer formats a chunk of rows at once; each line must be the
     # element's format_float, signed zeros, subnormals and infinities included
     sample = FptSample(times=np.array(times, dtype=float), grid=TimeGrid(1.0, 1.0, 1))
     with tempfile.TemporaryDirectory() as d:
@@ -62,6 +62,20 @@ def test_estimate_csv_round_trip_is_exact(data, dt, start_in_steps, steps):
     assert grid.matches(ts)
     assert ts.tobytes() == grid.points.tobytes()
     assert bs.tobytes() == est.curve.values.tobytes()
+
+
+def test_estimate_csv_lines_are_format_float_across_chunks(tmp_path):
+    # more rows than one chunk of the writer; each cell is its format_float
+    grid = TimeGrid(0.5, 0.5, 2**14 + 3)
+    values = np.random.default_rng(5).normal(size=len(grid))
+    values[::7] = -math.inf
+    target = np.linspace(1.0, 0.0, len(grid))
+    achieved = np.round(target, 3)
+    path = tmp_path / "boundary.csv"
+    io.write_estimate_csv(path, BoundaryEstimate(BoundaryCurve(grid, values), target, achieved, particles=2, seed=1))
+    rows = zip(grid.points, values, target, achieved)
+    expected = "t,b,S_target,S_achieved\n" + "".join(",".join(map(io.format_float, row)) + "\n" for row in rows)
+    assert path.read_text() == expected
 
 
 def test_curve_csv_round_trip(tmp_path):
