@@ -229,8 +229,8 @@ def calibrate(
         # exceeds C with probability at most max_step * variance / C^2
         diagnostics["small_jump_mode"] = model.small_jump_mode
         diagnostics["eta"] = model.eta
-        diagnostics["small_jump_variance"] = model._stats[2]
-        diagnostics["doob_step_budget_times_C2"] = grid.max_step * model._stats[2]
+        diagnostics["small_jump_variance"] = model.small_jump_variance
+        diagnostics["doob_step_budget_times_C2"] = grid.max_step * model.small_jump_variance
     return BoundaryEstimate(
         curve=curve,
         survival_target=s_target,

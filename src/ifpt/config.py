@@ -355,13 +355,26 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _check_step(process, grid: TimeGrid | None, path: str) -> None:
+def _check_side(process, initial, grid: TimeGrid | None, prefix: str) -> None:
+    """Checks a process against the grid and the initial law, at prefix + process/initial."""
+    if process is None:
+        return
     # a Levy jump-count table grows with the per-step mean; bound it before any step
     if isinstance(process, Levy) and grid is not None:
         try:
             process.check_step(grid.max_step)
         except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+            raise ConfigError(prefix + "process", str(exc)) from exc
+    # a law whose support leaves (L, R) would fail the first position check; a
+    # normal law's support is the whole line, so the sampler checks its draws
+    lo, hi = process.state_bounds
+    inside = {
+        PointInitial: lambda: lo < initial.x < hi,
+        UniformInitial: lambda: lo <= initial.a and initial.b <= hi,
+        EmpiricalInitial: lambda: lo < initial.samples[0] and initial.samples[-1] < hi,
+    }.get(type(initial), lambda: True)
+    if not inside():
+        raise ConfigError(prefix + "initial", f"the initial law must lie in the process's state space ({lo:g}, {hi:g})")
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
@@ -371,9 +384,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         # the reader recurses into each level of a nested mixture
         raise ConfigError("", "document nested too deeply") from exc
     grid = sections.get("grid")
-    _check_step(sections.get("process"), grid, "process")
-    for name, side in zip(("left", "right"), sections.get("compare", ())):
-        _check_step(side[0], grid, f"compare.{name}.process")
+    _check_side(sections.get("process"), sections.get("initial"), grid, "")
+    for name, (process, initial, _) in zip(("left", "right"), sections.get("compare", ())):
+        _check_side(process, initial, grid, f"compare.{name}.")
     return RunConfig(**{**dict.fromkeys(SECTIONS), "output": {}, **sections}, raw=raw)
 
 

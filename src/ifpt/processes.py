@@ -78,6 +78,8 @@ class FiniteAtoms:
 
     def __post_init__(self):
         # float() would also take True and "1" from a config
+        if not isinstance(self.atoms, (tuple, list, np.ndarray)):
+            raise ValueError("atoms must be a list of pairs [size, rate]")
         for pair in self.atoms:
             if not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 2:
                 raise ValueError("each atom must be a pair [size, rate]")
@@ -438,27 +440,10 @@ class Power:
 
 
 @dataclass(frozen=True)
-class BrownianDrift:
-    mu: float
-    vol: float
-
-    def __post_init__(self):
-        if self.vol <= 0:
-            raise ValueError("vol must be > 0")
-
-    state_bounds = (-math.inf, math.inf)
-
-    def step(self, x: np.ndarray, dt: float, keys: StreamKeys, diag: Diagnostics | None) -> np.ndarray:
-        z = keys.normals(slot=0)
-        z *= self.vol * math.sqrt(dt)
-        # no normal is +-0, and x + 0.0 differs from x only in the sign of a
-        # zero, so mu == 0 skips a temporary without changing a bit
-        z += x + self.mu * dt if self.mu else x
-        return z
-
-
-@dataclass(frozen=True)
 class Levy:
+    """A Lévy process stepped by the jump decomposition at eta; its step constants
+    drift, gauss_std, jump_rate and small_jump_variance are set once, when built."""
+
     triple: LevyTriple
     small_jump_mode: str = "gaussian"
     eta: float = 1e-2
@@ -466,37 +451,22 @@ class Levy:
     def __post_init__(self):
         if self.small_jump_mode not in ("gaussian", "discard"):
             raise ValueError("small_jump_mode must be 'gaussian' or 'discard'")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must be in (0, 1)")
-        # an infinite jump rate overflows the Poisson table's search in the first step
+        # an infinite jump rate overflows the Poisson table's search in the first step;
+        # small_jump_stats also checks eta
         try:
-            finite = all(math.isfinite(v) for v in self._stats)
+            rate, mean, var = small_jump_stats(self.triple.levy_measure, self.eta)
         except OverflowError:
-            finite = False
-        if not finite:
+            rate = mean = var = math.inf
+        if not all(math.isfinite(v) for v in (rate, mean, var)):
             raise ValueError("the jump rate, drift and small-jump variance at eta must be finite")
+        gauss_var = self.triple.sigma2 + (var if self.small_jump_mode == "gaussian" else 0.0)
+        # a' = a + mean of jumps in eta <= |x| < 1; realized as -a' per unit time
+        object.__setattr__(self, "drift", -(self.triple.a + mean))
+        object.__setattr__(self, "gauss_std", math.sqrt(gauss_var))
+        object.__setattr__(self, "jump_rate", rate)
+        object.__setattr__(self, "small_jump_variance", var)
 
     state_bounds = (-math.inf, math.inf)
-
-    @cached_property
-    def _stats(self):
-        return small_jump_stats(self.triple.levy_measure, self.eta)
-
-    @cached_property
-    def drift(self) -> float:
-        # a' = a + mean of jumps in eta <= |x| < 1; realized as -a' per unit time
-        return -(self.triple.a + self._stats[1])
-
-    @cached_property
-    def gauss_std(self) -> float:
-        var = self.triple.sigma2
-        if self.small_jump_mode == "gaussian":
-            var += self._stats[2]
-        return math.sqrt(var)
-
-    @cached_property
-    def jump_rate(self) -> float:
-        return self._stats[0]
 
     @cached_property
     def _tail_ppf(self):
@@ -554,6 +524,7 @@ class IntervalDiffusion:
     incremented); the lower boundary is folded back or rejected depending
     on ``lower_boundary_behavior``.  ``beta`` and ``sigma`` return a new
     array or a scalar, and the step writes into the arrays they return.
+    With constant coefficients on the whole line it is ``BrownianDrift``.
     """
 
     beta: object
@@ -590,19 +561,22 @@ class IntervalDiffusion:
         for j in range(m):
             # x + beta(x) * h + sigma(x) * sqh * z[j], built in place in the
             # expression's rounding order
-            prop = self.beta(x)
-            if np.ndim(prop):
-                prop *= h
-                prop += x
-            else:
-                prop = x + prop * h
             noise = self.sigma(x)
             if np.ndim(noise):
                 noise *= sqh
                 noise *= z[j]
             else:
                 noise = np.multiply(z[j], noise * sqh, out=z[j])
-            prop += noise
+            prop = self.beta(x)
+            if np.ndim(prop):
+                prop *= h
+                prop += x
+                prop += noise
+            else:
+                # the same sum, added into the noise with no second full-size array; no
+                # normal is +-0 and x + 0.0 differs from x only in a zero's sign
+                noise += x + prop * h if prop else x
+                prop = noise
             if reflect:
                 # L + |prop - L|; with L == 0 both shifts are exact no-ops
                 if L:
@@ -624,6 +598,14 @@ class IntervalDiffusion:
                         diag.upper_rejections += int(high.sum())
             x = prop
         return x
+
+
+def BrownianDrift(mu: float, vol: float) -> IntervalDiffusion:
+    """Brownian motion with drift mu and volatility vol: the constant-coefficient
+    diffusion on the whole line, whose one Euler substep is exact in law."""
+    if vol <= 0:
+        raise ValueError("vol must be > 0")
+    return IntervalDiffusion(Constant(mu), Constant(vol))
 
 
 def _probe_grid(L: float, R: float, n: int = 129) -> np.ndarray:

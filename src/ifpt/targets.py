@@ -115,16 +115,20 @@ class InverseGaussianHitting(TargetDistribution):
             raise ValueError("-2 * gamma * c must not overflow a double")
 
     def survival(self, t):
-        from scipy.special import log_ndtr, ndtr  # see LevyHittingLaw.survival
+        from scipy.special import erfcx, log_ndtr, ndtr  # see LevyHittingLaw.survival
 
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rt = np.sqrt(np.maximum(t, 0.0))
-            # the weight exp(-2 gamma c) overflows for gamma c < -354, so the
-            # second term is taken in log space
-            cdf = ndtr((-self.c - self.gamma * t) / rt) + _exp(
-                -2.0 * self.gamma * self.c + log_ndtr((self.gamma * t - self.c) / rt)
-            )
+            y = (-self.c - self.gamma * t) / rt
+            x = (self.gamma * t - self.c) / rt
+            # exp(-2 gamma c) overflows for gamma c < -354; for gamma < 0 (so x < 0), erfcx gives
+            # exp(x^2 / 2) ndtr(x) with no cancelling huge exponents, as -2 gamma c = (x^2 - y^2) / 2
+            if self.gamma < 0:
+                second = 0.5 * _exp(-0.5 * y * y) * erfcx(-x / math.sqrt(2.0))
+            else:
+                second = _exp(-2.0 * self.gamma * self.c + log_ndtr(x))
+            cdf = ndtr(y) + second
         return np.where(t > 0, 1.0 - cdf, 1.0)
 
 

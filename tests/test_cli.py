@@ -310,14 +310,36 @@ class TestCalibrateCommand:
         assert "--threads" in capsys.readouterr().err
 
     def test_state_space_violation_is_runtime_error(self, tmp_path, capsys):
+        # a normal law's support is the whole line, so only its samples can
+        # leave (L, R); the initial sampler's check finds them
         cfg = dict(
             CONFIG_A,
             process={"kind": "diffusion", "beta": {"name": "constant", "value": 0.0},
                      "sigma": {"name": "constant", "value": 1.0}, "L": 0.0, "R": 1.0},
-            initial={"kind": "point", "x": 5.0},
+            initial={"kind": "normal", "mean": 5.0, "std": 0.1},
         )
         rc, _ = run_calibrate(tmp_path, cfg)
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            {"kind": "point", "x": 0.5},  # exited 3 in the initial sampler
+            {"kind": "point", "x": 2.0},  # L and R are outside the open interval
+            {"kind": "point", "x": 4.0},
+            {"kind": "uniform", "a": 1.5, "b": 3.0},
+            {"kind": "uniform", "a": 3.0, "b": 4.5},
+            {"kind": "empirical", "path": "x0.txt"},
+        ],
+    )
+    def test_initial_law_outside_the_state_space_exits_2_before_work(self, tmp_path, capsys, monkeypatch, initial):
+        monkeypatch.setattr(cli, "calibrate", lambda *a: pytest.fail("calibrated before checking the initial law"))
+        (tmp_path / "x0.txt").write_text("2.5\n1.0\n3.0\n")
+        cfg = dict(CONFIG_OU, process=dict(CONFIG_OU["process"], L=2.0, R=4.0), initial=initial)
+        rc, _ = run_calibrate(tmp_path, cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:
@@ -609,6 +631,16 @@ class TestCompareCommand:
         assert rc == 2
         assert "config error: compare.slack: " in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_initial_law_outside_the_state_space_exits_2_before_work(self, tmp_path, capsys, monkeypatch, side):
+        monkeypatch.setattr(cli, "calibrate", lambda *a: pytest.fail("calibrated before checking the initial law"))
+        cfg = self._cfg(2.0, 1.0)
+        cfg["compare"][side]["process"] = dict(CONFIG_OU["process"], L=2.0)
+        rc = cli.main(["compare", "-c", write_config(tmp_path, cfg), "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: compare.{side}.initial: ") and err.count("\n") == 1
 
     def test_report_directory_exits_2_before_work(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "report.json").mkdir()

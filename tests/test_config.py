@@ -131,6 +131,8 @@ def test_diffusion_extended_bounds():
     cfg = parse_config(
         dict(
             BASE,
+            # the point start must lie in the open state space (0, inf)
+            initial={"kind": "point", "x": 1.0},
             process={
                 "kind": "diffusion",
                 "beta": {"name": "bessel_drift", "delta": 3.0},
@@ -269,8 +271,9 @@ def test_minimal_spec_builds(table_name, kind, tmp_path):
     table, _, _, pick = PLACES[table_name]
     built = pick(_parse_at(table_name, MINIMAL[table_name, kind], tmp_path))
     make = table[kind][0]
-    # the levy entry's constructor is a function that returns a Levy
-    assert isinstance(built, make if isinstance(make, type) else Levy)
+    # the brownian and levy entries' constructors are functions; each
+    # returns the model type named here
+    assert isinstance(built, make if isinstance(make, type) else {"brownian": IntervalDiffusion, "levy": Levy}[kind])
 
 
 @pytest.mark.parametrize(
@@ -332,6 +335,11 @@ def test_extra_key_rejected_at_its_path(table_name, kind, tmp_path):
         ("measure", {"type": "atoms", "atoms": [[1.0, None]]}, "process.measure[0]", "sizes and rates must be numbers"),
         ("measure", {"type": "atoms", "atoms": [[1.0, 2.0, 3.0]]}, "process.measure[0]", r"a pair \[size, rate\]"),
         ("measure", {"type": "atoms", "atoms": [1.0]}, "process.measure[0]", r"a pair \[size, rate\]"),
+        # an object calibrated as an empty measure, a number reported Python's
+        # "not iterable" and a string reported its characters as atoms
+        ("measure", {"type": "atoms", "atoms": {}}, "process.measure[0]", r"atoms must be a list of pairs"),
+        ("measure", {"type": "atoms", "atoms": 5}, "process.measure[0]", r"atoms must be a list of pairs"),
+        ("measure", {"type": "atoms", "atoms": "ab"}, "process.measure[0]", r"atoms must be a list of pairs"),
     ],
 )
 def test_parameter_outside_the_model_rejected_at_its_path(table_name, spec, path, problem, tmp_path):
@@ -339,6 +347,15 @@ def test_parameter_outside_the_model_rejected_at_its_path(table_name, spec, path
     with pytest.raises(ConfigError, match=problem) as err:
         _parse_at(table_name, spec, tmp_path)
     assert err.value.path == path
+
+
+def test_initial_law_may_touch_the_state_space_ends(tmp_path):
+    # a uniform law on [L, R] is accepted, and a normal law, whose support is
+    # the whole line, is left to the initial sampler's check
+    process = {"kind": "diffusion", "beta": {"name": "constant", "value": 0.0},
+               "sigma": {"name": "constant", "value": 1.0}, "L": 2.0, "R": 4.0}
+    for initial in ({"kind": "uniform", "a": 2.0, "b": 4.0}, {"kind": "normal", "mean": 0.0, "std": 1.0}):
+        assert parse_config({"process": process, "initial": initial}).initial is not None
 
 
 def _readme_json_documents():

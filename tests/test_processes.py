@@ -221,6 +221,9 @@ class TestDiffusionStep:
             # the OU diffusion of the benchmark: reflection at L == 0, R infinite
             (IntervalDiffusion(beta=OU(1.0), sigma=Constant(1.0), L=0.0,
                                lower_boundary_behavior="reflecting", dt_substeps=4), (0.0, 1.0)),
+            # a scalar drift added into an array noise
+            (IntervalDiffusion(beta=Constant(0.7), sigma=Power(0.5, 1.0), L=0.5, R=2.0,
+                               dt_substeps=2), (0.5, 2.0)),
         ],
     )
     def test_step_is_the_euler_expression_bit_for_bit(self, model, x0):
@@ -267,6 +270,22 @@ class TestDiffusionStep:
             assert got_diag.upper_rejections > 0
         if model.lower_boundary_behavior == "unattainable":
             assert got_diag.lower_rejections > 0
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, -2.5])
+    @pytest.mark.parametrize("vol, dt", [(1.0, 1 / 16), (0.37, 0.1), (2.9, 1 / 3)])
+    def test_brownian_step_is_the_former_brownian_step_bit_for_bit(self, mu, vol, dt):
+        # the constant-coefficient diffusion's one substep against the
+        # Brownian step it replaced: z * (vol * sqrt(dt)) + (x + mu * dt), and
+        # z * (vol * sqrt(dt)) + x when mu is 0
+        n = 5000
+        model = BrownianDrift(mu, vol)
+        got = want = np.linspace(-3.0, 3.0, n)
+        for k in range(4):
+            keys = keys_for(n, seed=23, step=k, ids=np.arange(5, 7 * n + 5, 7))
+            z = keys.normals(slot=0)
+            want = z * (vol * math.sqrt(dt)) + (want + mu * dt if mu else want)
+            got = model.step(got, dt, keys, Diagnostics())
+            assert got.tobytes() == want.tobytes()
 
     def test_sigma_positivity_validated(self):
         with pytest.raises(ValueError):

@@ -161,7 +161,15 @@ class TestSurvival:
             return
         assert_is_law(target)
 
-    @pytest.mark.parametrize("c, gamma", [(1e100, -1e100), (1.0, -1e200), (1e200, -1.0), (1e200, 1e200)])
+    @pytest.mark.parametrize(
+        "c, gamma",
+        [
+            (1e100, -1e100), (1.0, -1e200), (1e200, -1.0), (1e200, 1e200),
+            # c / -gamma is a probe time, where the log-space weight lost all
+            # its digits to cancellation and the survival fell to -inf
+            (1e12, -1e6), (1e109, -1e115),
+        ],
+    )
     def test_inverse_gaussian_extremes_that_are_laws_build(self, c, gamma):
         assert_is_law(InverseGaussianHitting(c, gamma))
 
