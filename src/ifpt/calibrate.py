@@ -52,6 +52,10 @@ class PointInitial(InitialDistribution):
     def ppf(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.x)
 
+    def sample(self, n: int, seed: int) -> np.ndarray:
+        # every u maps to x, so none is drawn and numpy.random is not loaded
+        return np.full(n, float(self.x))
+
 
 @dataclass(frozen=True)
 class UniformInitial(InitialDistribution):

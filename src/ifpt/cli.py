@@ -13,13 +13,15 @@ report, but the solver runs on one thread.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
-from . import io
+from . import __version__, io
 from .boundary import BoundaryCurve
 from .calibrate import calibrate
 from .config import ConfigError, RunConfig, load_config, parse_seed, require
@@ -72,6 +74,29 @@ def _parser() -> argparse.ArgumentParser:
 
 def _echo_model(config: RunConfig) -> dict:
     return {k: config.raw[k] for k in ("process", "initial", "target", "grid") if k in config.raw}
+
+
+@lru_cache(maxsize=1)
+def _versions() -> dict:
+    # importlib.metadata reads scipy's version without importing scipy (about
+    # 0.25 s), and costs 25 ms itself, so only a report loads it; ifpt and
+    # numpy are the copies that run
+    from importlib import metadata
+
+    try:
+        scipy = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy = None
+    return {"ifpt": __version__, "numpy": np.__version__, "scipy": scipy}
+
+
+def _provenance(config: RunConfig) -> dict:
+    """The package versions and the SHA-256 of the canonical config: the parsed
+    document dumped with sorted keys and no whitespace."""
+    import hashlib  # 5 ms at import, for the report only
+
+    canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
+    return {"versions": _versions(), "config_sha256": hashlib.sha256(canonical.encode()).hexdigest()}
 
 
 def _out_path(args, config: RunConfig, key: str, default: str) -> str:
@@ -129,6 +154,7 @@ def cmd_calibrate(args) -> int:
         "elapsed_seconds": elapsed,
         "boundary_csv": csv_path,
         "boundary": io.estimate_document(est),
+        **_provenance(config),
     }
     io.write_json(report_path, report)
     print(f"calibrate: wrote {csv_path} ({len(config.grid)} grid points, seed {seed})")
@@ -175,6 +201,7 @@ def cmd_verify(args) -> int:
         "tolerance_below_dkw": bool(v["tolerance"] < dkw),
         "censored_fraction": sample.censored_fraction,
         "passed": bool(passed),
+        **_provenance(config),
     }
     io.write_json(report_path, report)
     if fpt_path is not None:
@@ -208,6 +235,7 @@ def cmd_compare(args) -> int:
         "boundary_order": io.order_report_document(report_cmp),
         "left": io.estimate_document(est1),
         "right": io.estimate_document(est2),
+        **_provenance(config),
     }
     io.write_json(report_path, report)
     print(
@@ -245,6 +273,7 @@ def cmd_classify(args) -> int:
         "neg_mass": cls.neg_mass,
         "uniqueness": cls.uniqueness.value,
         "i_xi": cls.i_xi_description,
+        **_provenance(config),
     }
     io.write_json(report_path, report)
     print(f"existence: {existence}")

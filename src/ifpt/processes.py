@@ -51,19 +51,91 @@ def _quad(f, a, b) -> float:
     return val
 
 
-def upper_incomplete_gamma(s: float, z: float) -> float:
-    """Gamma(s, z) for s > -2, z > 0, via the upward recurrence."""
-    # scipy.special costs about 0.25 s and 25 MiB at import; only the runs
-    # that evaluate a special function load it
-    from scipy.special import exp1, gamma as gamma_fn, gammaincc
+# ---------------------------------------------------------------------------
+# Incomplete gamma functions, per element of an array until each converges.
+# Every exp, log and power is libm's and numpy does only + - * /, so no value
+# depends on the SIMD kernels numpy picks.
 
-    if z <= 0:
+_EPS = 2.0**-52
+
+
+def _libm(f, z: np.ndarray) -> np.ndarray:
+    return np.array([f(v) for v in z.tolist()], dtype=float)
+
+
+def _series(z: np.ndarray, t: np.ndarray, ratio) -> np.ndarray:
+    """t + t ratio(1, z) + t ratio(1, z) ratio(2, z) + ..., per element of z."""
+    total, idx, n = t.copy(), np.arange(len(z)), 0
+    while len(idx):
+        n += 1
+        t = t * ratio(n, z)
+        total[idx] += t
+        keep = np.abs(t) >= np.abs(total[idx]) * _EPS
+        idx, t, z = idx[keep], t[keep], z[keep]
+    return total
+
+
+def _gamma_fraction(s: float, z: np.ndarray) -> np.ndarray:
+    """Gamma(s, z) / (z^s e^-z) by Lentz's continued fraction, per element;
+    it converges fast for z >= s + 1 (Numerical Recipes, 3rd ed., 6.2)."""
+    b = z + (1.0 - s)
+    h = d = 1.0 / b
+    c = np.full(len(z), math.inf)  # so that the first c is b
+    idx, i = np.arange(len(z)), 0
+    while len(idx):
+        i += 1
+        an = -i * (i - s)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h[idx] *= delta
+        keep = np.abs(delta - 1.0) >= _EPS
+        idx, b, c, d = idx[keep], b[keep], c[keep], d[keep]
+    return h
+
+
+def _gamma_tails(s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(s, z), Q(s, z)), the regularized lower and upper incomplete gamma
+    functions, for s > 0 and a 1-D array z >= 0: the series below s + 1, the
+    continued fraction above it, and the other tail as 1 minus the first."""
+    lg = math.lgamma(s)
+    # z^s e^-z / Gamma(s)
+    pre = _libm(lambda v: math.exp(s * math.log(v) - v - lg) if v > 0 else 0.0, z)
+    low = z < s + 1.0
+    p, q = np.empty(len(z)), np.empty(len(z))
+    # z^n / (s (s + 1) ... (s + n)) summed over n >= 0
+    p[low] = pre[low] * _series(z[low], np.full(low.sum(), 1.0 / s), lambda n, z: z / (s + n))
+    q[~low] = pre[~low] * _gamma_fraction(s, z[~low])
+    q[low], p[~low] = 1.0 - p[low], 1.0 - q[~low]
+    return p, q
+
+
+def _exp1(z: np.ndarray) -> np.ndarray:
+    """E1(z) = Gamma(0, z) for a 1-D array z > 0: the continued fraction from 1 up;
+    below 1, -C - log z - sum over k >= 1 of (-z)^k / (k k!), C Euler's constant."""
+    out = np.empty(len(z))
+    hi = z >= 1.0
+    out[hi] = _libm(lambda v: math.exp(-v), z[hi]) * _gamma_fraction(0.0, z[hi])
+    lo = z[~hi]
+    series = _series(lo, -lo, lambda n, z: -z * n / ((n + 1) * (n + 1)))
+    out[~hi] = -0.57721566490153286 - _libm(math.log, lo) - series
+    return out
+
+
+def upper_incomplete_gamma(s: float, z):
+    """Gamma(s, z) for s > -2 and z > 0, a float or a 1-D array; below s = 0
+    by the upward recurrence Gamma(s, z) = (Gamma(s + 1, z) - z^s e^-z) / s."""
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(zs > 0):
         raise ValueError("z must be > 0")
     if s > 0:
-        return gamma_fn(s) * gammaincc(s, z)
-    if s == 0.0:
-        return float(exp1(z))
-    return (upper_incomplete_gamma(s + 1.0, z) - z**s * math.exp(-z)) / s
+        out = math.gamma(s) * _gamma_tails(s, zs)[1]
+    elif s == 0.0:
+        out = _exp1(zs)
+    else:
+        out = (upper_incomplete_gamma(s + 1.0, zs) - _libm(lambda v: math.pow(v, s) * math.exp(-v), zs)) / s
+    return out if np.ndim(z) else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +208,9 @@ class _DensityComponent:
     """Shared machinery for one-sided absolutely continuous components.
 
     Subclasses define the density of jump magnitudes on (0, inf), its tail
-    rate ``tail_rate(y)`` (the rate of magnitudes >= y) and the analytic
-    pieces; ``side`` mirrors the support onto the negative axis.
+    rate ``tail_rate(y)`` (the rate of magnitudes >= y, y a float or a 1-D
+    array) and the analytic pieces; ``side`` mirrors the support onto the
+    negative axis.
     """
 
     touches_zero = True
@@ -177,7 +250,7 @@ class _DensityComponent:
         while self.tail_rate(hi) > 1e-13 * rate:
             hi *= 2.0
         ys = np.geomspace(eta, hi, TAIL_TABLE_SIZE)
-        cdf = 1.0 - np.array([self.tail_rate(y) for y in ys]) / rate
+        cdf = 1.0 - self.tail_rate(ys) / rate
         cdf[0] = 0.0
         cdf, idx = np.unique(cdf, return_index=True)
         logy = np.log(ys)[idx]
@@ -210,7 +283,7 @@ class OneSidedStable(_DensityComponent):
     def _magnitude_density(self, m):
         return self.intensity * m ** (-1.0 - self.alpha) * math.exp(-self.tempering * m)
 
-    def tail_rate(self, y: float) -> float:
+    def tail_rate(self, y):
         c, a, lam = self.intensity, self.alpha, self.tempering
         if lam == 0.0:
             return c * y**-a / a
@@ -231,9 +304,8 @@ class OneSidedStable(_DensityComponent):
         c, a, lam = self.intensity, self.alpha, self.tempering
         if lam == 0.0:
             return c * eta ** (2.0 - a) / (2.0 - a)
-        from scipy.special import gamma as gamma_fn, gammainc  # see upper_incomplete_gamma
-
-        return c * lam ** (a - 2.0) * gamma_fn(2.0 - a) * gammainc(2.0 - a, lam * eta)
+        lower = _gamma_tails(2.0 - a, np.array([lam * eta]))[0]
+        return c * lam ** (a - 2.0) * math.gamma(2.0 - a) * float(lower[0])
 
     def tail_ppf(self, eta: float):
         if self.tempering == 0.0:
@@ -262,10 +334,8 @@ class GammaSubordinatorMeasure(_DensityComponent):
     def _magnitude_density(self, m):
         return self.shape * math.exp(-self.rate * m) / m
 
-    def tail_rate(self, y: float) -> float:
-        from scipy.special import exp1  # see upper_incomplete_gamma
-
-        return self.shape * float(exp1(self.rate * y))
+    def tail_rate(self, y):
+        return self.shape * upper_incomplete_gamma(0.0, self.rate * y)
 
     def _magnitude_mean(self, lo: float, hi: float) -> float:
         return self.shape * (math.exp(-self.rate * lo) - math.exp(-self.rate * hi)) / self.rate
@@ -661,17 +731,19 @@ def step_increments(
 
 def _poisson_table_end(lam: float) -> int:
     """The last count K of _poisson_cdf(lam)'s table before trimming: the
-    first 16 * 2^j with P(N <= K) == 1.0.
+    first 16 * 2^j with P(N > K) below 2^-60 by the Chernoff bound
+    P(N >= k) <= exp(k - lam - k log(k / lam)) for k > lam, O(1) per doubling.
 
     Raises ValueError, before allocating anything, when the table would pass
     MAX_SIZE entries.  P(N <= lam) is below 1, so that holds for every
     lam >= MAX_SIZE (and for an infinite lam) without a search.
     """
-    from scipy.special import pdtr  # see upper_incomplete_gamma
-
     if lam < MAX_SIZE:
-        k = 16
-        while k < MAX_SIZE and pdtr(k, lam) < 1.0:
+        # 2^-60 is far below the 2^-54 under which P(N <= K) rounds to 1.0
+        k, tail_log = 16, -60.0 * math.log(2.0)
+        while k < MAX_SIZE and lam > 0 and (
+            k + 1 <= lam or k + 1 - lam - (k + 1) * math.log((k + 1) / lam) > tail_log
+        ):
             k *= 2
         if k < MAX_SIZE:
             return k
@@ -682,12 +754,19 @@ def _poisson_table_end(lam: float) -> int:
 def _poisson_cdf(lam: float) -> np.ndarray:
     """P(N <= k) for N ~ Poisson(lam), k = 0, 1, ..., K, with P(N <= K) == 1.0.
 
-    Every uniform in (0, 1) lies below the last entry, so inversion never
-    indexes past the table.
+    The probabilities run out from the mode m: P(N = m) from lgamma, then
+    cumulative products of lam / k above it and k / lam below it.  Their
+    cumulative sum is divided by its last entry, which cancels the rounding
+    of P(N = m) and makes the last entry exactly 1.0, so every uniform in
+    (0, 1) lies below it and inversion never indexes past the table.
     """
-    from scipy.special import pdtr  # see upper_incomplete_gamma
-
-    cdf = pdtr(np.arange(_poisson_table_end(lam) + 1), lam)
+    end = _poisson_table_end(lam)
+    m = int(lam)
+    p_mode = math.exp((m * math.log(lam) if m else 0.0) - lam - math.lgamma(m + 1.0))
+    below = np.cumprod(np.arange(m, 0, -1) / lam)[::-1]
+    above = np.cumprod(lam / np.arange(m + 1, end + 1))
+    cdf = np.cumsum(p_mode * np.concatenate([below, [1.0], above]))
+    cdf /= cdf[-1]
     cdf = cdf[: int(np.argmax(cdf >= 1.0)) + 1]
     cdf.setflags(write=False)
     return cdf

@@ -20,7 +20,7 @@ from further blocks of the same key's stream, one block per (attempt,
 part); so they too depend only on the key and the id.
 
 Initial positions, drawn as a whole sample at once, come from a Philox
-generator keyed by a hash of ``(seed, label)``.
+generator keyed by a hash of ``(seed, label)``; a point law draws none.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ifpt
 from ifpt import cli
 
 # golden hashes for the two small benchmark configs below; regenerate by
@@ -703,6 +704,29 @@ class TestClassifyCommand:
         cfg = {"process": {"kind": "brownian", "mu": 0.0, "vol": 1.0}}
         rc = cli.main(["classify", "-c", write_config(tmp_path, cfg), "-o", str(tmp_path)])
         assert rc == 2
+
+
+class TestProvenance:
+    def test_every_report_records_the_versions_and_the_canonical_config_hash(self, tmp_path):
+        from importlib import metadata
+
+        versions = {"ifpt": ifpt.__version__, "numpy": np.__version__, "scipy": metadata.version("scipy")}
+        calibrate = dict(CONFIG_B, particles=200)
+        check = {"boundary_csv": str(tmp_path / "calibrate" / "boundary.csv"), "samples": 200, "seed": 2, "tolerance": 1.0}
+        configs = {
+            "calibrate": calibrate,
+            "verify": dict(calibrate, verify=check),
+            "compare": TestCompareCommand._cfg(None, 2.0, 1.0),
+            "classify": {"process": CONFIG_B["process"]},
+        }
+        for command, cfg in configs.items():
+            # written indented, keys in reverse order: the canonical form sorts them and drops whitespace
+            path = write_config(tmp_path, dict(reversed(cfg.items())), f"{command}.json")
+            assert cli.main([command, "-c", path, "-o", str(tmp_path / command)]) == 0, command
+            report = json.loads((tmp_path / command / "report.json").read_text())
+            canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+            assert report["versions"] == versions, command
+            assert report["config_sha256"] == hashlib.sha256(canonical).hexdigest(), command
 
 
 class TestFileBackedDistributions:

@@ -3,17 +3,20 @@
 scipy.integrate, with the scipy.optimize/linalg/sparse tree it loads, costs
 about 0.3 s and 25 MiB per process, and no CLI command integrates: only the
 quadrature helpers import it, when called.  scipy.special costs about
-0.25 s and 25 MiB; only normal initial laws, the two Brownian hitting laws
-and Lévy processes evaluate a special function, so a run of the OU
-diffusion to a Weibull law from a point loads no scipy module at all.  The
-checks run in a fresh interpreter, because other test modules import scipy
-themselves.
+0.25 s and 25 MiB; only normal initial laws and the two Brownian hitting
+laws evaluate one of its functions, so a Lévy process or the OU diffusion
+from a point, to an exponential or a Weibull law, loads no scipy module at
+all.  The checks run in a fresh interpreter, because other test modules
+import scipy themselves.
 """
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 import ifpt
 
@@ -25,54 +28,23 @@ SCRIPT = textwrap.dedent(
 
     HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 
-    def loaded(when):
-        heavy = [m for m in HEAVY if m in sys.modules]
-        assert not heavy, f"{when}: {heavy} loaded"
-
-    def none_loaded(when):
-        scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-        assert not scipy, f"{when}: {scipy[:5]} loaded"
-
     from ifpt import cli
-    none_loaded("import ifpt.cli")
+    scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+    assert not scipy, f"import ifpt.cli: {scipy[:5]} loaded"
 
-    grid = {"t_start": 0.0625, "dt": 0.0625, "steps": 16}
-    start = {"kind": "point", "x": 0.0}
-    levy = {
-        "kind": "levy", "a": 0.0, "sigma2": 0.25, "eta": 0.01, "small_jump_mode": "gaussian",
-        "measure": [{"type": "stable", "side": "+", "alpha": 0.5, "intensity": 0.5, "tempering": 1.0}],
+    # the Brownian hitting law evaluates scipy.special, which loads none of HEAVY
+    cfg = {
+        "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0}, "initial": {"kind": "point", "x": 0.0},
+        "target": {"kind": "levy_hitting", "c": 1.0}, "grid": {"t_start": 0.0625, "dt": 0.0625, "steps": 16},
+        "particles": 500, "seed": 1,
     }
-    ou = {
-        "kind": "diffusion", "beta": {"name": "ou", "theta": 1.0}, "sigma": {"name": "constant", "value": 1.0},
-        "L": 0.0, "R": None, "lower_boundary_behavior": "reflecting", "dt_substeps": 4,
-    }
-    # the OU run goes first: it evaluates no special function
-    configs = {
-        "ou": {"process": ou, "initial": {"kind": "point", "x": 0.5},
-               "target": {"kind": "weibull", "shape": 2.0, "scale": 1.0}},
-        "brownian": {"process": {"kind": "brownian", "mu": 0.0, "vol": 1.0}, "initial": start,
-                     "target": {"kind": "levy_hitting", "c": 1.0}},
-        "levy": {"process": levy, "initial": start, "target": {"kind": "exponential", "rate": 1.0}},
-    }
-    work = sys.argv[1]
-
-    def write(name, cfg):
-        path = os.path.join(work, name + ".json")
-        with open(path, "w") as f:
-            json.dump(dict(cfg, grid=grid, particles=500, seed=1), f)
-        return path
-
-    for name, cfg in configs.items():
-        out = os.path.join(work, name)
-        assert cli.main(["calibrate", "-c", write(name, cfg), "-o", out]) == 0, name
-        assert os.path.isfile(os.path.join(out, "boundary.csv")), name
-        loaded(f"calibrate {name}")
-        if name == "ou":
-            check = {"boundary_csv": os.path.join(out, "boundary.csv"), "samples": 500, "seed": 2, "tolerance": 1.0}
-            vout = os.path.join(work, "ou-verify")
-            assert cli.main(["verify", "-c", write("ou-verify", dict(cfg, verify=check)), "-o", vout]) == 0
-            assert os.path.isfile(os.path.join(vout, "report.json"))
-            none_loaded("calibrate and verify ou")
+    path, out = os.path.join(sys.argv[1], "brownian.json"), os.path.join(sys.argv[1], "out")
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    assert cli.main(["calibrate", "-c", path, "-o", out]) == 0
+    assert os.path.isfile(os.path.join(out, "boundary.csv"))
+    heavy = [m for m in HEAVY if m in sys.modules]
+    assert "scipy.special" in sys.modules and not heavy, heavy
 
     from scipy.special import gamma, gammainc
     from ifpt.processes import (
@@ -99,10 +71,69 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def test_commands_do_not_import_scipy_integrate(tmp_path):
+# calibrate, then verify the written boundary, then list the scipy modules
+# loaded, and numpy.random, which a run from a point does not need either
+ROUND_TRIP = textwrap.dedent(
+    """
+    import json, os, sys
+    from ifpt import cli
+
+    work, cfg = sys.argv[1], json.loads(sys.argv[2])
+    out = os.path.join(work, "out")
+    path = os.path.join(work, "config.json")
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    assert cli.main(["calibrate", "-c", path, "-o", out]) == 0
+    cfg["verify"] = {"boundary_csv": os.path.join(out, "boundary.csv"), "samples": 500, "seed": 2, "tolerance": 1.0}
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    assert cli.main(["verify", "-c", path, "-o", out]) == 0
+    with open(os.path.join(out, "report.json")) as f:
+        report = json.load(f)
+    assert report["versions"]["scipy"] and report["config_sha256"]
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))))
+    """
+)
+
+GRID = {"t_start": 0.0625, "dt": 0.0625, "steps": 16}
+ROUND_TRIPS = {
+    # every Lévy measure component: tempered and untempered stable, gamma, atoms
+    "levy": {
+        "process": {
+            "kind": "levy", "a": 0.0, "sigma2": 0.25, "eta": 0.01, "small_jump_mode": "gaussian",
+            "measure": [
+                {"type": "stable", "side": "+", "alpha": 0.5, "intensity": 0.5, "tempering": 1.0},
+                {"type": "stable", "side": "-", "alpha": 1.5, "intensity": 0.1},
+                {"type": "gamma", "side": "+", "shape": 0.5, "rate": 2.0},
+                {"type": "atoms", "atoms": [[1.0, 2.0], [-0.5, 1.0]]},
+            ],
+        },
+        "initial": {"kind": "point", "x": 0.0},
+        "target": {"kind": "exponential", "rate": 1.0},
+    },
+    "ou": {
+        "process": {
+            "kind": "diffusion", "beta": {"name": "ou", "theta": 1.0}, "sigma": {"name": "constant", "value": 1.0},
+            "L": 0.0, "R": None, "lower_boundary_behavior": "reflecting", "dt_substeps": 4,
+        },
+        "initial": {"kind": "point", "x": 0.5},
+        "target": {"kind": "weibull", "shape": 2.0, "scale": 1.0},
+    },
+}
+
+
+def run_fresh(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True
-    )
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-1] == "ok"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_commands_do_not_import_scipy_integrate(tmp_path):
+    assert run_fresh(SCRIPT, str(tmp_path)) == "ok"
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+def test_round_trip_loads_no_scipy(tmp_path, name):
+    cfg = dict(ROUND_TRIPS[name], grid=GRID, particles=500, seed=1)
+    assert json.loads(run_fresh(ROUND_TRIP, str(tmp_path), json.dumps(cfg))) == []

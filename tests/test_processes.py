@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import exp1, gamma, gammainc, gammaincc, ndtr
 
 from ifpt.processes import (
     BesselDrift,
@@ -29,6 +29,8 @@ from ifpt.processes import (
     small_jump_stats,
     step_increments,
     upper_incomplete_gamma,
+    _exp1,
+    _gamma_tails,
 )
 from ifpt.rng import StreamKeys
 
@@ -424,6 +426,37 @@ class TestUpperIncompleteGamma:
             for z in (0.05, 1.0, 3.0):
                 want = quad(lambda t: t ** (s - 1) * math.exp(-t), z, np.inf, limit=300)[0]
                 assert upper_incomplete_gamma(s, z) == pytest.approx(want, rel=1e-9)
+
+
+class TestGammaFunctionsAgainstScipy:
+    """The in-house incomplete gamma functions, held to scipy.special."""
+
+    Z = np.geomspace(1e-6, 1e3, 400)
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 1.0, 1.5, 1.9, 17.0])
+    def test_regularized_tails(self, s):
+        p, q = _gamma_tails(s, self.Z)
+        # below 1e-300 a tail is near underflow and keeps fewer digits
+        np.testing.assert_allclose(p, gammainc(s, self.Z), rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(q, gammaincc(s, self.Z), rtol=1e-12, atol=1e-300)
+
+    def test_exp1(self):
+        np.testing.assert_allclose(_exp1(self.Z), exp1(self.Z), rtol=1e-13, atol=1e-300)
+
+    @pytest.mark.parametrize("s", [-0.25, -0.5, -0.75, -1.25, -1.5, -1.75])
+    def test_negative_s(self, s):
+        z = np.geomspace(1e-6, 50.0, 300)
+
+        def want(s):
+            # the same upward recurrence, on scipy's functions
+            if s > 0:
+                return gamma(s) * gammaincc(s, z)
+            return (want(s + 1.0) - z**s * np.exp(-z)) / s
+
+        got = upper_incomplete_gamma(s, z)
+        np.testing.assert_allclose(got, want(s), rtol=1e-11)
+        # a float argument gives the array's value
+        assert all(upper_incomplete_gamma(s, float(v)) == g for v, g in zip(z[::30], got[::30]))
 
 
 class TestClassify:

@@ -2,13 +2,14 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, pdtr
 
 from ifpt.processes import _poisson_cdf, _poisson_table_end, poisson_jumps
 from ifpt.rng import (
@@ -41,6 +42,28 @@ def id_subsets(draw):
     n = draw(st.integers(1, 300))
     mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return n, np.flatnonzero(mask)
+
+
+class TestPoissonTable:
+    """The in-house Poisson table, held to scipy.special.pdtr."""
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.03, 0.1875, 1.0, 30.0, 400.0, 5000.0])
+    def test_table_matches_scipy(self, lam):
+        table = _poisson_cdf(lam)
+        assert table[-1] == 1.0
+        assert np.all(np.diff(table) >= 0)
+        np.testing.assert_allclose(table, pdtr(np.arange(len(table)), lam), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("lam", [2.0**20, 2.0**40, 2.0**47 - 1])
+    def test_table_end_takes_constant_time(self, lam):
+        start = time.perf_counter()
+        try:
+            end = _poisson_table_end(lam)
+        except ValueError as exc:
+            assert "would pass" in str(exc)
+        else:
+            assert pdtr(end, lam) == 1.0
+        assert time.perf_counter() - start < 1.0
 
 
 class TestKeyedDraws:
