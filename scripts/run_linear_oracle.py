@@ -1,14 +1,22 @@
 """Regenerates the brute-force linear-boundary crossing oracle.
 
-Streams 10^6 Euler paths at dt = 1e-4 and prints the empirical crossing
-probabilities next to the closed form; the frozen values in
-tests/test_verify.py came from this script.  Takes several minutes.
+Runs 10^6 Brownian paths at dt = 1e-4 through ``forward_fpt`` and prints
+the empirical crossing probabilities next to the closed form
+``1 - InverseGaussianHitting(c, gamma).survival(t)``.  Takes several
+minutes.
+
+The frozen values in tests/test_verify.py (``LINEAR_ORACLE_MC``) came from
+an earlier version of this script, whose paths were drawn from a Philox
+stream.  The paths now come from the solver's keyed stream, so the script
+reproduces those values in law, within Monte-Carlo error, not bit for bit;
+the values are kept as they were.
 """
 
 import json
 import sys
 
-from ifpt.verify import analytic_bm_linear_cdf, bm_linear_crossing_mc
+from ifpt.targets import InverseGaussianHitting
+from ifpt.verify import bm_linear_crossing_mc
 
 
 def main():
@@ -20,7 +28,7 @@ def main():
     for c, gamma, ts, seed in cases:
         mc = bm_linear_crossing_mc(c, gamma, ts, n_paths=1_000_000, dt=1e-4, seed=seed)
         for t, m in zip(ts, mc):
-            a = analytic_bm_linear_cdf(c, gamma, t)
+            a = 1.0 - float(InverseGaussianHitting(c, gamma).survival(t))
             print(f"c={c} gamma={gamma} t={t}: mc={m:.6f} analytic={a:.6f} diff={a - m:+.6f}")
         out[f"c{c}_g{gamma}"] = {"ts": ts, "mc": mc.tolist()}
     json.dump(out, sys.stdout, indent=1)

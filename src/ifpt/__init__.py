@@ -40,7 +40,6 @@ from .targets import (
 )
 from .verify import (
     FptSample,
-    analytic_bm_linear_cdf,
     compare_boundaries,
     dkw_critical_value,
     forward_fpt,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid
 from .processes import Diagnostics, Levy, check_positions, step_increments
-from .rng import INIT_LABEL, StreamKeys, generator
+from .rng import INIT_LABEL, StreamKeys, derive_seed, keyed_uniforms
 from .targets import TargetDistribution
 
 
@@ -32,8 +32,9 @@ class CalibrationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Initial distributions (mu), sampled by inverse CDF from a dedicated
-# uniform stream so that runs with a shared seed are coupled monotonically.
+# Initial distributions (mu), sampled by inverse CDF from the keyed uniform
+# of each particle id, so that runs with a shared seed are coupled
+# monotonically.
 
 
 class InitialDistribution:
@@ -41,8 +42,7 @@ class InitialDistribution:
         raise NotImplementedError
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        u = generator(seed, INIT_LABEL).random(n)
-        return self.ppf(u)
+        return self.ppf(keyed_uniforms(derive_seed(seed, INIT_LABEL), np.arange(n)))
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class PointInitial(InitialDistribution):
         return np.full_like(np.asarray(u, dtype=float), self.x)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        # every u maps to x, so none is drawn and numpy.random is not loaded
+        # every u maps to x, so none is drawn
         return np.full(n, float(self.x))
 
 

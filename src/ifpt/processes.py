@@ -713,12 +713,12 @@ def step_increments(
     model,
     positions: np.ndarray,
     dt: float,
-    stream_keys: StreamKeys,
+    keys: StreamKeys,
     diag: Diagnostics | None = None,
 ) -> np.ndarray:
     """Advance positions by one increment of length dt with ``model.step``.
 
-    Pure in (model, positions, dt, stream_keys): every draw is keyed by
+    Pure in (model, positions, dt, keys): every draw is keyed by
     particle id, so the result is independent of thread count and of which
     particles elsewhere in the ensemble are alive.
     """
@@ -726,7 +726,7 @@ def step_increments(
         raise ValueError("dt must be > 0")
     positions = np.asarray(positions, dtype=float)
     check_positions(model, positions)
-    return model.step(positions, dt, stream_keys, diag)
+    return model.step(positions, dt, keys, diag)
 
 
 def _poisson_table_end(lam: float) -> int:

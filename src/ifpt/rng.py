@@ -19,8 +19,10 @@ the wedge test, Marsaglia's tail method or a fresh draw, with words read
 from further blocks of the same key's stream, one block per (attempt,
 part); so they too depend only on the key and the id.
 
-Initial positions, drawn as a whole sample at once, come from a Philox
-generator keyed by a hash of ``(seed, label)``; a point law draws none.
+Initial positions take the uniform of each particle id from the stream
+keyed by ``(seed, INIT_LABEL)``, through the law's inverse CDF, so runs
+that share a seed start ordered laws pathwise ordered; a point law draws
+none.
 """
 
 from __future__ import annotations
@@ -86,23 +88,13 @@ def _mix64(z: int) -> int:
 def derive_seed(seed: int, *path: int) -> int:
     """64-bit hash of a seed and an integer path.
 
-    It hands independent seeds to sub-runs and keys every step draw.
+    It hands independent seeds to sub-runs and keys every draw, the initial
+    positions' and each step's.
     """
     h = _mix64(seed & _MASK)
     for p in path:
         h = _mix64((h + _GOLDEN) ^ _mix64(int(p) & _MASK))
     return h
-
-
-def stream_key(seed: int, *path: int) -> np.ndarray:
-    """Two-word Philox key derived from a seed and an integer path."""
-    h = derive_seed(seed, *path)
-    return np.array([h, _mix64(h ^ _GOLDEN)], dtype=np.uint64)
-
-
-def generator(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator keyed by (seed, path)."""
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
 
 
 def _start(key: int, offset: int) -> int:

@@ -16,20 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _exp_or_inf(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
+def _libm(f, *args):
+    """f from libm (math.exp, math.pow), point by point, with numpy's inf
+    where it overflows and its NaN where it has no real value.
 
-
-def _exp(x):
-    """exp through libm, point by point; inf where it overflows, as np.exp gives.
-
-    np.exp picks a SIMD kernel at run time whose last bit can differ from
-    libm's, and S_target is written to boundary.csv bit for bit.
+    np.exp and np.power pick a SIMD kernel at run time whose last bit can
+    differ from libm's, and S_target is written to boundary.csv bit for bit.
     """
-    return np.asarray(np.frompyfunc(_exp_or_inf, 1, 1)(x), dtype=float)[()]
+
+    def point(*a):
+        try:
+            return f(*a)
+        except OverflowError:
+            return math.inf
+        except ValueError:
+            return math.nan
+
+    return np.asarray(np.frompyfunc(point, len(args), 1)(*args), dtype=float)[()]
 
 
 class TargetDistribution:
@@ -49,7 +52,7 @@ class Exponential(TargetDistribution):
             raise ValueError("rate must be >= 0 and finite")
 
     def survival(self, t):
-        return _exp(-self.rate * np.asarray(t, dtype=float))
+        return _libm(math.exp, -self.rate * np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,7 @@ class Weibull(TargetDistribution):
             raise ValueError("scale must be > 0")
 
     def survival(self, t):
-        t = np.asarray(t, dtype=float)
-        return _exp(-((t / self.scale) ** self.shape))
+        return _libm(math.exp, -_libm(math.pow, np.asarray(t, dtype=float) / self.scale, self.shape))
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,9 @@ class InverseGaussianHitting(TargetDistribution):
             # exp(-2 gamma c) overflows for gamma c < -354; for gamma < 0 (so x < 0), erfcx gives
             # exp(x^2 / 2) ndtr(x) with no cancelling huge exponents, as -2 gamma c = (x^2 - y^2) / 2
             if self.gamma < 0:
-                second = 0.5 * _exp(-0.5 * y * y) * erfcx(-x / math.sqrt(2.0))
+                second = 0.5 * _libm(math.exp, -0.5 * y * y) * erfcx(-x / math.sqrt(2.0))
             else:
-                second = _exp(-2.0 * self.gamma * self.c + log_ndtr(x))
+                second = _libm(math.exp, -2.0 * self.gamma * self.c + log_ndtr(x))
             cdf = ndtr(y) + second
         return np.where(t > 0, 1.0 - cdf, 1.0)
 

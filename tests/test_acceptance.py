@@ -47,7 +47,6 @@ from ifpt.targets import (
     PointMass,
 )
 from ifpt.verify import (
-    analytic_bm_linear_cdf,
     compare_boundaries,
     forward_fpt,
     ks_statistic,
@@ -153,9 +152,8 @@ def test_criterion_03_jump_model_round_trip(bench3, tmp_path):
 
 
 def test_criterion_04_linear_boundary_inversion():
-    worst_gap = max(
-        abs(analytic_bm_linear_cdf(1.0, 0.5, t) - mc) for t, mc in LINEAR_MC.items()
-    )
+    law = InverseGaussianHitting(1.0, 0.5)
+    worst_gap = max(abs(1.0 - float(law.survival(t)) - mc) for t, mc in LINEAR_MC.items())
     assert worst_gap <= 0.005, "closed form disagrees with the path oracle"
     grid = TimeGrid(1 / 512, 1 / 512, 1024)
     est = calibrate(

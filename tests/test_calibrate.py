@@ -28,7 +28,6 @@ from ifpt.processes import (
     OneSidedStable,
     StateSpaceError,
 )
-from ifpt.rng import generator, INIT_LABEL
 from ifpt.targets import Exponential, PointMass, TargetDistribution, Weibull
 from ifpt.verify import compare_boundaries, forward_fpt
 
@@ -280,14 +279,19 @@ class TestInitialDistributions:
     def test_inverse_cdf_coupling_orders_samples(self):
         # same seed, stochastically ordered laws: pathwise ordered samples
         n = 10_000
-        u = generator(9, INIT_LABEL).random(n)
         cases = [
             (PointInitial(0.0), PointInitial(0.5)),
             (UniformInitial(0.0, 1.0), UniformInitial(0.2, 1.2)),
             (NormalInitial(0.0, 1.0), NormalInitial(0.3, 1.0)),
+            (EmpiricalInitial(np.array([0.0, 1.0, 2.0])), EmpiricalInitial(np.array([0.5, 1.0, 3.0]))),
         ]
         for lo, hi in cases:
-            assert np.all(lo.ppf(u) <= hi.ppf(u))
+            assert np.all(lo.sample(n, 9) <= hi.sample(n, 9))
+
+    def test_normal_ppf_is_finite_on_the_keyed_range(self):
+        # keyed uniforms lie in [2**-53, 1 - 2**-53], so ndtri never sees 0 or 1
+        x = NormalInitial(0.0, 1.0).ppf(np.array([2.0**-53, 1.0 - 2.0**-53]))
+        assert np.all(np.isfinite(x)) and x[0] == -x[1]
 
     def test_empirical_initial_quantiles(self):
         e = EmpiricalInitial(np.array([3.0, 1.0, 2.0]))

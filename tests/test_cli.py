@@ -20,7 +20,10 @@ GOLDEN_B_SHA = "0d3f32f22a7d2d8e42a836d39fdf268570e0611d80080cd6b4b2a82c91f32727
 # fpt.txt of a verify run on config B (Poisson counts and the fixed-curve
 # kill) and boundary.csv of config OU (Euler substeps, reflection)
 GOLDEN_B_FPT_SHA = "de3cca2172e58bd9562ba5aef05aa362b0a628f4fc41fdf07a5cfe72739c05ce"
-GOLDEN_OU_SHA = "150ca51a15eb5d005b269fac3ed07165a695d03a43c2c90141a048002edfbc50"
+GOLDEN_OU_SHA = "a7aeab51cfdec69a2d056f4695bb22dbd9b20f1de3039534972b2a864b7d242a"
+# boundary.csv of config A to a Weibull-1.5 target, whose survival takes its
+# power and exp from libm
+GOLDEN_WEIBULL_SHA = "5f8edd4d4b5702f3292c6e1ac816c473dd53d828547643341c56f0367bb454dc"
 
 CONFIG_A = {
     "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0},
@@ -109,6 +112,12 @@ class TestCalibrateCommand:
         assert rc == 0
         data = (out / "boundary.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == GOLDEN_OU_SHA
+
+    def test_golden_bytes_config_weibull(self, tmp_path):
+        rc, out = run_calibrate(tmp_path, dict(CONFIG_A, target={"kind": "weibull", "shape": 1.5, "scale": 1.0}))
+        assert rc == 0
+        data = (out / "boundary.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_WEIBULL_SHA
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         _, out1 = run_calibrate(tmp_path, CONFIG_A, "one", extra=("--threads", "1"))

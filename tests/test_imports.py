@@ -5,9 +5,9 @@ about 0.3 s and 25 MiB per process, and no CLI command integrates: only the
 quadrature helpers import it, when called.  scipy.special costs about
 0.25 s and 25 MiB; only normal initial laws and the two Brownian hitting
 laws evaluate one of its functions, so a Lévy process or the OU diffusion
-from a point, to an exponential or a Weibull law, loads no scipy module at
-all.  The checks run in a fresh interpreter, because other test modules
-import scipy themselves.
+from a point or a uniform law, to an exponential or a Weibull law, loads no
+scipy module at all, and no run loads numpy.random.  The checks run in a
+fresh interpreter, because other test modules import scipy themselves.
 """
 
 import json
@@ -72,7 +72,7 @@ SCRIPT = textwrap.dedent(
 
 
 # calibrate, then verify the written boundary, then list the scipy modules
-# loaded, and numpy.random, which a run from a point does not need either
+# loaded, and numpy.random, which no run needs: every draw is keyed
 ROUND_TRIP = textwrap.dedent(
     """
     import json, os, sys
@@ -118,6 +118,15 @@ ROUND_TRIPS = {
         },
         "initial": {"kind": "point", "x": 0.5},
         "target": {"kind": "weibull", "shape": 2.0, "scale": 1.0},
+    },
+    # config OU of test_cli.py: initial positions drawn from a uniform law
+    "uniform": {
+        "process": {
+            "kind": "diffusion", "beta": {"name": "ou", "theta": 1.0}, "sigma": {"name": "constant", "value": 1.0},
+            "L": 0.0, "R": None, "lower_boundary_behavior": "reflecting", "dt_substeps": 4,
+        },
+        "initial": {"kind": "uniform", "a": 0.5, "b": 1.5},
+        "target": {"kind": "exponential", "rate": 2.0},
     },
 }
 

@@ -7,12 +7,11 @@ from scipy.special import ndtr
 from ifpt.boundary import BoundaryCurve, TimeGrid
 from ifpt.calibrate import PointInitial, calibrate
 from ifpt.processes import BrownianDrift
-from ifpt.rng import generator
-from ifpt.targets import Exponential, LevyHittingLaw, PointMass
+from ifpt.rng import derive_seed, keyed_uniforms
+from ifpt.targets import Exponential, InverseGaussianHitting, LevyHittingLaw, PointMass
 from ifpt.verify import (
     FptSample,
     GridMismatchError,
-    analytic_bm_linear_cdf,
     bm_linear_crossing_mc,
     compare_boundaries,
     forward_fpt,
@@ -22,8 +21,9 @@ from ifpt.verify import (
 INF = math.inf
 
 # brute-force path oracle at spec scale (1e6 paths, dt=1e-4), recorded by
-# scripts/run_linear_oracle.py; the analytic closed form must sit within
-# 0.005 of every entry before it is trusted
+# scripts/run_linear_oracle.py when its paths came from a Philox stream (the
+# keyed stream reproduces them in law); the analytic closed form must sit
+# within 0.005 of every entry before it is trusted
 LINEAR_ORACLE_MC = {
     (1.0, 1.0, 1.0): 0.088997,
     (1.0, 0.5, 0.25): 0.026156,
@@ -37,6 +37,11 @@ LINEAR_ORACLE_MC = {
 def level_cdf(c, t):
     """P(sup_{s<=t} B_s >= c), the CDF of the level-hitting target."""
     return 1.0 - float(LevyHittingLaw(c).survival(t))
+
+
+def linear_cdf(c, gamma, t):
+    """P(exists s <= t : B_s >= c + gamma s), the CDF of the line-hitting target."""
+    return 1.0 - float(InverseGaussianHitting(c, gamma).survival(t))
 
 
 def flat_curve(level, grid):
@@ -96,7 +101,7 @@ class TestKsStatistic:
         n = 100_000
         grid = TimeGrid(1 / 128, 1 / 128, 512)
         target = Exponential(1.0)
-        draws = -np.log1p(-generator(5, 0x33).random(n))
+        draws = -np.log1p(-keyed_uniforms(derive_seed(5, 0x33), np.arange(n)))
         idx = np.searchsorted(grid.points, draws, side="left")
         snapped = np.where(idx < len(grid), grid.points[np.minimum(idx, len(grid) - 1)], INF)
         s = FptSample(times=snapped, grid=grid)
@@ -178,22 +183,27 @@ class TestAnalyticOracles:
 
     def test_linear_reduces_to_level_at_gamma_zero(self):
         for t in (0.3, 1.0, 5.0):
-            assert analytic_bm_linear_cdf(1.0, 0.0, t) == pytest.approx(
+            assert linear_cdf(1.0, 0.0, t) == pytest.approx(
                 level_cdf(1.0, t), abs=1e-14
             )
 
     def test_linear_vanishes_at_zero_time(self):
-        assert analytic_bm_linear_cdf(1.0, 1.0, 1e-8) < 1e-12
-        assert analytic_bm_linear_cdf(1.0, 1.0, 0.0) == 0.0
+        assert linear_cdf(1.0, 1.0, 1e-8) < 1e-12
+        assert linear_cdf(1.0, 1.0, 0.0) == 0.0
 
     def test_linear_formula_against_frozen_path_oracle(self):
         for (c, g, t), mc in LINEAR_ORACLE_MC.items():
-            assert abs(analytic_bm_linear_cdf(c, g, t) - mc) <= 0.005, (c, g, t)
+            assert abs(linear_cdf(c, g, t) - mc) <= 0.005, (c, g, t)
 
     def test_mc_oracle_consistent_at_small_scale(self):
         got = bm_linear_crossing_mc(1.0, 0.5, [0.5, 1.0], n_paths=50_000, dt=1e-3, seed=17)
         for g, (cc, gg, tt) in zip(got, [(1.0, 0.5, 0.5), (1.0, 0.5, 1.0)]):
             assert abs(g - LINEAR_ORACLE_MC[(cc, gg, tt)]) < 0.02
+
+    def test_mc_oracle_reads_the_first_grid_time_at_or_after_t(self):
+        # on the grid 0.25, 0.5: t = 0.1 reads at 0.25 and t = 0.3 at 0.5, in the order given
+        got = bm_linear_crossing_mc(1.0, 0.5, [0.5, 0.1, 0.25, 0.3], n_paths=2000, dt=0.25, seed=3)
+        assert got[1] == got[2] < got[3] == got[0]
 
 
 @pytest.mark.slow
@@ -203,4 +213,4 @@ def test_linear_oracle_full_scale_regeneration():
     mc = bm_linear_crossing_mc(1.0, 0.5, ts, n_paths=1_000_000, dt=1e-4, seed=20260809)
     for t, m in zip(ts, mc):
         assert abs(m - LINEAR_ORACLE_MC[(1.0, 0.5, t)]) < 2e-3
-        assert abs(analytic_bm_linear_cdf(1.0, 0.5, t) - m) <= 0.005
+        assert abs(linear_cdf(1.0, 0.5, t) - m) <= 0.005
