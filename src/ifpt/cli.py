@@ -8,6 +8,12 @@ Exit codes: 0 success (verify/compare: check passed), 1 check failed,
 seed, every command is a pure function of its config: repeated runs
 produce byte-identical outputs.  --threads is accepted and echoed in the
 report, but the solver runs on one thread.
+
+``COMMANDS``, the command table, maps each command to its function, the
+config sections it requires, the config key of its seed and the config keys
+of its files with their default names.  One runner loads and checks the
+config, resolves the seed, resolves and checks the paths before any work,
+calls the command, writes ``report.json`` and prints the command's lines.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ EXIT_RUNTIME = 3
 # level of the DKW critical value reported next to the verify tolerance
 DKW_ALPHA = 0.05
 
+# the sections of one model, echoed in the report
+MODEL = ("process", "initial", "target", "grid")
+# the file every command writes, see COMMANDS
+REPORT = {"output.report": "report.json"}
+
 
 def _seed_arg(text: str) -> int:
     try:
@@ -58,7 +69,7 @@ def _threads_arg(text: str) -> int:
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ifpt", description="inverse first-passage time solver")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("calibrate", "verify", "compare", "classify"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("-c", "--config", required=True, help="JSON run configuration")
         sp.add_argument("-o", "--out", default=".", help="output directory")
@@ -73,7 +84,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _echo_model(config: RunConfig) -> dict:
-    return {k: config.raw[k] for k in ("process", "initial", "target", "grid") if k in config.raw}
+    return {k: config.raw[k] for k in MODEL if k in config.raw}
 
 
 @lru_cache(maxsize=1)
@@ -99,25 +110,27 @@ def _provenance(config: RunConfig) -> dict:
     return {"versions": _versions(), "config_sha256": hashlib.sha256(canonical.encode()).hexdigest()}
 
 
-def _out_path(args, config: RunConfig, key: str, default: str) -> str:
-    """The path output.<key> names, under the output directory unless absolute."""
-    name = config.output.get(key, default)
-    if not name:
-        raise ConfigError(f"output.{key}", "empty path")
-    return name if os.path.isabs(name) else os.path.join(args.out, name)
-
-
-def _check_paths(paths: dict[str, str]) -> None:
-    """Checks before any work, so that a bad path exits 2 instead of failing
-    after the run.  No two config keys of one command (an input first, then
-    its outputs) may name one file; the error names the later key.  Only then
-    are the output directories created, and each output must be writable."""
-    seen = {}
-    for key, path in paths.items():
+def _paths(config: RunConfig, out_dir: str, files: dict) -> dict[str, str]:
+    """The path at each config key ``section.key`` of files, else its default
+    name; outputs are under out_dir unless absolute.  Checked before any work,
+    so that a bad path exits 2 instead of failing after the run: no two keys
+    (an input first, then the outputs) may name one file, and the error names
+    the later key.  Only then are the output directories created, and each
+    output must be writable."""
+    paths, seen = {}, {}
+    for key, default in files.items():
+        section, name = key.split(".")
+        path = getattr(config, section).get(name, default)
+        if path is None:
+            continue
+        if not path:
+            raise ConfigError(key, "empty path")
+        if key.startswith("output."):
+            path = os.path.join(out_dir, path)
         real = os.path.realpath(path)
         if real in seen:
             raise ConfigError(key, f"{path!r} is also {seen[real]}")
-        seen[real] = key
+        paths[key], seen[real] = path, key
     for key, path in paths.items():
         if not key.startswith("output."):
             continue
@@ -130,48 +143,28 @@ def _check_paths(paths: dict[str, str]) -> None:
             raise ConfigError(key, f"{path!r} is a directory")
         if not os.access(path if os.path.exists(path) else parent, os.W_OK):
             raise ConfigError(key, f"{path!r} is not writable")
+    return paths
 
 
-def cmd_calibrate(args) -> int:
-    config = load_config(args.config)
-    require(config, "process", "initial", "target", "grid", "particles")
-    if args.seed is None:
-        require(config, "seed")
-    seed = args.seed if args.seed is not None else config.seed
-    csv_path = _out_path(args, config, "boundary_csv", "boundary.csv")
-    report_path = _out_path(args, config, "report", "report.json")
-    _check_paths({"output.boundary_csv": csv_path, "output.report": report_path})
+def cmd_calibrate(config: RunConfig, seed: int, paths: dict) -> tuple[int, dict, list[str]]:
+    csv_path = paths["output.boundary_csv"]
     t0 = time.perf_counter()
     est = calibrate(config.process, config.initial, config.target, config.grid, config.particles, seed)
     elapsed = time.perf_counter() - t0
 
     io.write_estimate_csv(csv_path, est)
-    report = {
-        "command": "calibrate",
-        "seed": seed,
-        "threads": args.threads,
+    body = {
         "model": _echo_model(config),
         "elapsed_seconds": elapsed,
         "boundary_csv": csv_path,
         "boundary": io.estimate_document(est),
-        **_provenance(config),
     }
-    io.write_json(report_path, report)
-    print(f"calibrate: wrote {csv_path} ({len(config.grid)} grid points, seed {seed})")
-    return EXIT_OK
+    return EXIT_OK, body, [f"calibrate: wrote {csv_path} ({len(config.grid)} grid points, seed {seed})"]
 
 
-def cmd_verify(args) -> int:
-    config = load_config(args.config)
-    require(config, "process", "initial", "target", "grid", "verify")
+def cmd_verify(config: RunConfig, seed: int, paths: dict) -> tuple[int, dict, list[str]]:
     v = config.verify
-    csv_in = v["boundary_csv"]
-    report_path = _out_path(args, config, "report", "report.json")
-    fpt_path = _out_path(args, config, "fpt", "fpt.txt") if "fpt" in config.output else None
-    paths = {"verify.boundary_csv": csv_in, "output.report": report_path}
-    if fpt_path is not None:
-        paths["output.fpt"] = fpt_path
-    _check_paths(paths)
+    csv_in = paths["verify.boundary_csv"]
     try:
         ts, bs = io.read_boundary_csv(csv_in)
     except OSError as exc:
@@ -182,15 +175,13 @@ def cmd_verify(args) -> int:
         curve = BoundaryCurve(config.grid, bs, domain_bounds=config.process.state_bounds)
     except ValueError as exc:
         raise io.CsvFormatError(f"boundary CSV: {exc}") from exc
-    seed = args.seed if args.seed is not None else v["seed"]
     sample = forward_fpt(config.process, config.initial, curve, v["samples"], seed)
     ks, witness = ks_statistic(sample, config.target)
     passed = ks <= v["tolerance"]
     dkw = dkw_critical_value(v["samples"], DKW_ALPHA)
-    report = {
-        "command": "verify",
-        "seed": seed,
-        "threads": args.threads,
+    if "output.fpt" in paths:
+        io.write_fpt_sample(paths["output.fpt"], sample)
+    body = {
         "model": _echo_model(config),
         "ks_statistic": ks,
         "ks_witness_time": witness,
@@ -201,57 +192,37 @@ def cmd_verify(args) -> int:
         "tolerance_below_dkw": bool(v["tolerance"] < dkw),
         "censored_fraction": sample.censored_fraction,
         "passed": bool(passed),
-        **_provenance(config),
     }
-    io.write_json(report_path, report)
-    if fpt_path is not None:
-        io.write_fpt_sample(fpt_path, sample)
-    print(
+    line = (
         f"verify: KS={ks:.6f} tolerance={v['tolerance']:g} "
         f"censored={sample.censored_fraction:.4f} -> {'pass' if passed else 'FAIL'}"
     )
-    return EXIT_OK if passed else EXIT_FAIL
+    return (EXIT_OK if passed else EXIT_FAIL), body, [line]
 
 
-def cmd_compare(args) -> int:
-    config = load_config(args.config)
-    require(config, "compare", "grid", "particles")
-    if args.seed is None:
-        require(config, "seed")
+def cmd_compare(config: RunConfig, seed: int, paths: dict) -> tuple[int, dict, list[str]]:
     (left, right, slack) = config.compare
-    seed = args.seed if args.seed is not None else config.seed
-    report_path = _out_path(args, config, "report", "report.json")
-    _check_paths({"output.report": report_path})
     hazard = check_hazard_order(left[2], right[2], config.grid)
     est1 = calibrate(*left, config.grid, config.particles, seed)
     est2 = calibrate(*right, config.grid, config.particles, seed)
     report_cmp = compare_boundaries(est1, est2, slack)
-    report = {
-        "command": "compare",
-        "seed": seed,
-        "threads": args.threads,
+    body = {
         "slack": slack,
         "hazard_order": io.order_report_document(hazard),
         "boundary_order": io.order_report_document(report_cmp),
         "left": io.estimate_document(est1),
         "right": io.estimate_document(est2),
-        **_provenance(config),
     }
-    io.write_json(report_path, report)
-    print(
+    line = (
         f"compare: hazard order {'holds' if hazard.holds else 'FAILS'}; "
         f"b_left <= b_right + {slack:g} {'holds' if report_cmp.holds else 'FAILS'}"
     )
-    return EXIT_OK if report_cmp.holds else EXIT_FAIL
+    return (EXIT_OK if report_cmp.holds else EXIT_FAIL), body, [line]
 
 
-def cmd_classify(args) -> int:
-    config = load_config(args.config)
-    require(config, "process")
+def cmd_classify(config: RunConfig, seed: None, paths: dict) -> tuple[int, dict, list[str]]:
     if not isinstance(config.process, Levy):
         raise ConfigError("process", "classify needs a levy process")
-    report_path = _out_path(args, config, "report", "report.json")
-    _check_paths({"output.report": report_path})
     cls = classify_levy(config.process.triple)
     existence = (
         "yes (diffuse marginals)"
@@ -263,8 +234,7 @@ def cmd_classify(args) -> int:
         "support_only": f"on {cls.i_xi_description}",
         "unknown": "unknown",
     }[cls.uniqueness.value]
-    report = {
-        "command": "classify",
+    body = {
         "model": _echo_model(config),
         "existence_diffuse": cls.existence_diffuse,
         "unbounded_variation": cls.unbounded_variation,
@@ -273,25 +243,49 @@ def cmd_classify(args) -> int:
         "neg_mass": cls.neg_mass,
         "uniqueness": cls.uniqueness.value,
         "i_xi": cls.i_xi_description,
-        **_provenance(config),
     }
-    io.write_json(report_path, report)
-    print(f"existence: {existence}")
-    print(f"uniqueness: {uniq}")
-    return EXIT_OK
+    return EXIT_OK, body, [f"existence: {existence}", f"uniqueness: {uniq}"]
+
+
+# The command table: command -> (function, the config sections it requires,
+# the config key of its seed (None: it draws none), and the config keys of its
+# files, inputs first, -> default name (None: used only when the config names one))
+COMMANDS = {
+    "calibrate": (cmd_calibrate, (*MODEL, "particles"), "seed", {"output.boundary_csv": "boundary.csv", **REPORT}),
+    "verify": (
+        cmd_verify, (*MODEL, "verify"), "verify.seed", {"verify.boundary_csv": None, **REPORT, "output.fpt": None}
+    ),
+    "compare": (cmd_compare, ("compare", "grid", "particles"), "seed", REPORT),
+    "classify": (cmd_classify, ("process",), None, REPORT),
+}
+
+
+def _run(args) -> int:
+    # load_config, calibrate, forward_fpt, ks_statistic and the io writers are
+    # looked up when called, so that a tracer can rebind them
+    command, sections, seed_key, files = COMMANDS[args.command]
+    config = load_config(args.config)
+    require(config, *sections)
+    # --seed, else the config's seed at seed_key: a top-level key or section.key
+    seed = args.seed if seed_key else None
+    if seed_key and seed is None:
+        section, _, name = seed_key.partition(".")
+        require(config, section)
+        seed = getattr(config, section)[name] if name else getattr(config, section)
+    paths = _paths(config, args.out, files)
+    code, body, lines = command(config, seed, paths)
+    run = {"seed": seed, "threads": args.threads} if seed_key else {}
+    io.write_json(paths["output.report"], {"command": args.command, **run, **body, **_provenance(config)})
+    for line in lines:
+        print(line)
+    return code
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     np.seterr(over="ignore")
-    handler = {
-        "calibrate": cmd_calibrate,
-        "verify": cmd_verify,
-        "compare": cmd_compare,
-        "classify": cmd_classify,
-    }[args.command]
     try:
-        return handler(args)
+        return _run(args)
     except (ConfigError, io.CsvFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -109,7 +109,7 @@ def order_report_document(report) -> dict:
     return {
         "holds": bool(report.holds),
         "worst_violation": _jsonf(report.worst_violation),
-        "witness": None if report.witness is None else _jsonf(report.witness),
+        "witness": _jsonf(report.witness),
     }
 
 

@@ -17,7 +17,14 @@ ORDER_TOL = 1e-12
 class OrderReport:
     holds: bool
     worst_violation: float
-    witness: float | None
+    witness: float
+
+    @classmethod
+    def worst(cls, margin, times, tol: float) -> OrderReport:
+        """The largest margin, the first time attaining it, and whether it is within tol."""
+        i = int(np.argmax(margin))
+        worst = float(margin[i])
+        return cls(holds=worst <= tol, worst_violation=worst, witness=float(times[i]))
 
 
 def check_hazard_order(a, b, grid) -> OrderReport:
@@ -33,8 +40,4 @@ def check_hazard_order(a, b, grid) -> OrderReport:
         bad = float(ts[np.argmax(sb <= 0.0)])
         raise ValueError(f"survival of the larger target vanishes at t={bad!r}")
     ratio = np.concatenate([[1.0], sa / sb])
-    rise = np.diff(ratio)
-    i = int(np.argmax(rise))
-    worst = float(rise[i])
-    witness = float(ts[i]) if len(ts) else None
-    return OrderReport(holds=worst <= ORDER_TOL, worst_violation=worst, witness=witness)
+    return OrderReport.worst(np.diff(ratio), ts, ORDER_TOL)

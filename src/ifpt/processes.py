@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .rng import MAX_SIZE, StreamKeys
+from .targets import _libm
 
 QUAD_REL_TOL = 1e-8
 SCALE_ABS_TOL = 1e-10
@@ -57,10 +58,6 @@ def _quad(f, a, b) -> float:
 # depends on the SIMD kernels numpy picks.
 
 _EPS = 2.0**-52
-
-
-def _libm(f, z: np.ndarray) -> np.ndarray:
-    return np.array([f(v) for v in z.tolist()], dtype=float)
 
 
 def _series(z: np.ndarray, t: np.ndarray, ratio) -> np.ndarray:

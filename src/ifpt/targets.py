@@ -71,35 +71,11 @@ class Weibull(TargetDistribution):
 
 
 @dataclass(frozen=True)
-class LevyHittingLaw(TargetDistribution):
-    """First time standard Brownian motion from 0 reaches level c > 0.
-
-    CDF 2 Phi(-c / sqrt(t)); heavy-tailed with infinite mean.
-    """
-
-    c: float
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
-
-    def survival(self, t):
-        # scipy.special costs about 0.25 s and 25 MiB at import; only the
-        # runs that evaluate a special function load it
-        from scipy.special import ndtr
-
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            s = 1.0 - 2.0 * ndtr(-self.c / np.sqrt(np.maximum(t, 0.0)))
-        return np.where(t > 0, s, 1.0)
-
-
-@dataclass(frozen=True)
 class InverseGaussianHitting(TargetDistribution):
     """First time Brownian motion from 0 reaches the line c + gamma * t.
 
     For gamma > 0 the law is defective with total hitting mass
-    exp(-2 gamma c); gamma = 0 reduces to the level-hitting law.
+    exp(-2 gamma c); gamma = 0 is the level-hitting law, LevyHittingLaw(c).
     """
 
     c: float
@@ -117,7 +93,9 @@ class InverseGaussianHitting(TargetDistribution):
             raise ValueError("-2 * gamma * c must not overflow a double")
 
     def survival(self, t):
-        from scipy.special import erfcx, log_ndtr, ndtr  # see LevyHittingLaw.survival
+        # scipy.special costs about 0.25 s and 25 MiB at import; only the
+        # runs that evaluate a special function load it
+        from scipy.special import erfcx, ndtr
 
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -129,9 +107,16 @@ class InverseGaussianHitting(TargetDistribution):
             if self.gamma < 0:
                 second = 0.5 * _libm(math.exp, -0.5 * y * y) * erfcx(-x / math.sqrt(2.0))
             else:
-                second = _libm(math.exp, -2.0 * self.gamma * self.c + log_ndtr(x))
+                second = math.exp(-2.0 * self.gamma * self.c) * ndtr(x)
             cdf = ndtr(y) + second
         return np.where(t > 0, 1.0 - cdf, 1.0)
+
+
+def LevyHittingLaw(c: float) -> InverseGaussianHitting:
+    """First time standard Brownian motion from 0 reaches level c > 0: the
+    line-hitting law with gamma = 0, CDF 2 Phi(-c / sqrt(t)), heavy-tailed
+    with infinite mean."""
+    return InverseGaussianHitting(c, 0.0)
 
 
 @dataclass(frozen=True)

@@ -103,10 +103,7 @@ def compare_boundaries(b1: BoundaryEstimate, b2: BoundaryEstimate, slack: float 
     # violation margin; same-signed infinities compare equal (margin 0)
     with np.errstate(invalid="ignore"):
         margin = v1 - (v2 + slack)
-    margin = np.where(np.isnan(margin), 0.0, margin)
-    i = int(np.argmax(margin))
-    worst = float(margin[i])
-    return OrderReport(holds=worst <= 0.0, worst_violation=worst, witness=float(g1.points[i]))
+    return OrderReport.worst(np.where(np.isnan(margin), 0.0, margin), g1.points, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -716,24 +716,48 @@ class TestClassifyCommand:
 
 
 class TestProvenance:
-    def test_every_report_records_the_versions_and_the_canonical_config_hash(self, tmp_path):
+    # the top-level keys of each command's report.json
+    PROVENANCE = {"command", "versions", "config_sha256"}
+    KEYS = {
+        "calibrate": PROVENANCE | {"seed", "threads", "model", "elapsed_seconds", "boundary_csv", "boundary"},
+        "verify": PROVENANCE
+        | {"seed", "threads", "model", "ks_statistic", "ks_witness_time", "tolerance", "dkw_alpha"}
+        | {"dkw_critical_value", "tolerance_below_dkw", "censored_fraction", "passed"},
+        "compare": PROVENANCE | {"seed", "threads", "slack", "hazard_order", "boundary_order", "left", "right"},
+        "classify": PROVENANCE
+        | {"model", "existence_diffuse", "unbounded_variation", "zero_in_supp", "pos_mass", "neg_mass"}
+        | {"uniqueness", "i_xi"},
+    }
+
+    def test_every_report_records_the_versions_and_the_canonical_config_hash(self, tmp_path, capsys):
         from importlib import metadata
 
         versions = {"ifpt": ifpt.__version__, "numpy": np.__version__, "scipy": metadata.version("scipy")}
         calibrate = dict(CONFIG_B, particles=200)
-        check = {"boundary_csv": str(tmp_path / "calibrate" / "boundary.csv"), "samples": 200, "seed": 2, "tolerance": 1.0}
+        csv = tmp_path / "calibrate" / "boundary.csv"
+        check = {"boundary_csv": str(csv), "samples": 200, "seed": 2, "tolerance": 1.0}
         configs = {
             "calibrate": calibrate,
             "verify": dict(calibrate, verify=check),
             "compare": TestCompareCommand._cfg(None, 2.0, 1.0),
             "classify": {"process": CONFIG_B["process"]},
         }
+        stdout = {
+            "calibrate": [f"calibrate: wrote {csv} (16 grid points, seed 3)"],
+            "verify": ["verify: KS=0.079029 tolerance=1 censored=0.3600 -> pass"],
+            "compare": ["compare: hazard order holds; b_left <= b_right + 0 holds"],
+            "classify": ["existence: yes (diffuse marginals)", "uniqueness: full interval (0, t_xi)"],
+        }
         for command, cfg in configs.items():
             # written indented, keys in reverse order: the canonical form sorts them and drops whitespace
             path = write_config(tmp_path, dict(reversed(cfg.items())), f"{command}.json")
+            capsys.readouterr()
             assert cli.main([command, "-c", path, "-o", str(tmp_path / command)]) == 0, command
+            assert capsys.readouterr().out.splitlines() == stdout[command]
             report = json.loads((tmp_path / command / "report.json").read_text())
             canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+            assert set(report) == self.KEYS[command], command
+            assert report["command"] == command
             assert report["versions"] == versions, command
             assert report["config_sha256"] == hashlib.sha256(canonical).hexdigest(), command
 

@@ -8,7 +8,7 @@ import pytest
 
 from ifpt.config import COEFFICIENTS, INITIALS, MEASURES, PROCESSES, TARGETS, ConfigError, parse_config
 from ifpt.processes import GammaSubordinatorMeasure, IntervalDiffusion, Levy, OneSidedStable
-from ifpt.targets import Mixture
+from ifpt.targets import InverseGaussianHitting, Mixture
 
 BASE = {
     "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0},
@@ -271,9 +271,10 @@ def test_minimal_spec_builds(table_name, kind, tmp_path):
     table, _, _, pick = PLACES[table_name]
     built = pick(_parse_at(table_name, MINIMAL[table_name, kind], tmp_path))
     make = table[kind][0]
-    # the brownian and levy entries' constructors are functions; each
-    # returns the model type named here
-    assert isinstance(built, make if isinstance(make, type) else {"brownian": IntervalDiffusion, "levy": Levy}[kind])
+    # the brownian, levy and levy_hitting entries' constructors are functions;
+    # each returns the type named here
+    types = {"brownian": IntervalDiffusion, "levy": Levy, "levy_hitting": InverseGaussianHitting}
+    assert isinstance(built, make if isinstance(make, type) else types[kind])
 
 
 @pytest.mark.parametrize(

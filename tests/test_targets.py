@@ -116,10 +116,12 @@ class TestSurvival:
         assert PointMass(1.0).survival(1.0) == 0.0
 
     def test_ig_reduces_to_levy_at_gamma_zero(self):
+        # exactly 1 - 2 ndtr(-c / sqrt(t)), the level-hitting closed form
         ts = np.linspace(0.01, 5, 50)
-        a = InverseGaussianHitting(1.0, 0.0).survival(ts)
-        b = LevyHittingLaw(1.0).survival(ts)
-        assert np.allclose(a, b, atol=1e-14)
+        for c in (0.3, 1.0, 2.5, 7.0):
+            law = LevyHittingLaw(c)
+            assert law == InverseGaussianHitting(c, 0.0)
+            assert np.array_equal(law.survival(ts), 1.0 - 2.0 * ndtr(-c / np.sqrt(ts)))
 
     def test_defective_ig_floor(self):
         # upward drifting boundary: survival never drops below 1 - e^{-2 gamma c}
