@@ -17,8 +17,9 @@ import numpy as np
 
 
 def _libm(f, *args):
-    """f from libm (math.exp, math.pow), point by point, with numpy's inf
-    where it overflows and its NaN where it has no real value.
+    """f, a scalar function on libm (math.exp, math.pow, _ndtr), point by
+    point, with numpy's inf where it overflows and its NaN where it has no
+    real value.
 
     np.exp and np.power pick a SIMD kernel at run time whose last bit can
     differ from libm's, and S_target is written to boundary.csv bit for bit.
@@ -33,6 +34,121 @@ def _libm(f, *args):
             return math.nan
 
     return np.asarray(np.frompyfunc(point, len(args), 1)(*args), dtype=float)[()]
+
+
+# The Cephes ndtr.c that scipy.special.ndtr runs: erf(x) = x T(x^2) / U(x^2) on
+# [0, 1], and exp(x^2) erfc(x) = P(x) / Q(x) on [1, 8), R(x) / S(x) from 8 up.
+# Coefficients run from the highest degree down; Q, S and U have a leading 1
+# that _p1evl supplies.
+_SQRTH = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ISPI = 0.56418958354775628694807945156  # 1 / sqrt(pi)
+
+
+def _polevl(x, coef):
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc_ratio(x):
+    """exp(x^2) erfc(x) for x >= 1 as the numerator and denominator of
+    Cephes' rational fit."""
+    if x < 8.0:
+        return _polevl(x, _P), _p1evl(x, _Q)
+    return _polevl(x, _R), _p1evl(x, _S)
+
+
+def _erf(x):
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _erfc(a):
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0 else 0.0
+    p, q = _erfc_ratio(x)
+    y = math.exp(z) * p / q
+    return 2.0 - y if a < 0 else y
+
+
+def _ndtr(a):
+    # NaN fails every comparison and comes out of _erfc as NaN
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def _erfcx(a):
+    """exp(a^2) erfc(a), for a >= 0: above 50 Faddeeva's continued fraction,
+    as scipy.special.erfcx, below it Cephes' erfc without the exp."""
+    if a > 50.0:
+        if a > 5e7:
+            return _ISPI / a
+        return _ISPI * ((a * a) * (a * a + 4.5) + 2.0) / (a * ((a * a) * (a * a + 5.0) + 3.75))
+    if a >= 1.0:
+        p, q = _erfc_ratio(a)
+        return p / q
+    return math.exp(a * a) * (1.0 - _erf(a))
+
+
+def ndtr(x):
+    """Standard normal CDF, bit for bit scipy.special.ndtr."""
+    # no warning, as from scipy: -x^2 overflows on the way to an exact 0 or 1
+    # for |x| > 1.3e154, and a NaN argument compares unordered
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _libm(_ndtr, x)
+
+
+def erfcx(x):
+    """exp(x^2) erfc(x) for x >= 0, within 4e-15 of scipy.special.erfcx."""
+    with np.errstate(invalid="ignore"):
+        return _libm(_erfcx, x)
 
 
 class TargetDistribution:
@@ -93,10 +209,6 @@ class InverseGaussianHitting(TargetDistribution):
             raise ValueError("-2 * gamma * c must not overflow a double")
 
     def survival(self, t):
-        # scipy.special costs about 0.25 s and 25 MiB at import; only the
-        # runs that evaluate a special function load it
-        from scipy.special import erfcx, ndtr
-
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rt = np.sqrt(np.maximum(t, 0.0))
@@ -109,7 +221,9 @@ class InverseGaussianHitting(TargetDistribution):
             else:
                 second = math.exp(-2.0 * self.gamma * self.c) * ndtr(x)
             cdf = ndtr(y) + second
-        return np.where(t > 0, 1.0 - cdf, 1.0)
+        # at t = inf, x and y are inf / inf; the limit is the never-hit mass
+        never_hit = 1.0 - math.exp(-2.0 * self.gamma * self.c) if self.gamma > 0 else 0.0
+        return np.where(t > 0, np.where(t < math.inf, 1.0 - cdf, never_hit), 1.0)
 
 
 def LevyHittingLaw(c: float) -> InverseGaussianHitting:

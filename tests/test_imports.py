@@ -3,11 +3,12 @@
 scipy.integrate, with the scipy.optimize/linalg/sparse tree it loads, costs
 about 0.3 s and 25 MiB per process, and no CLI command integrates: only the
 quadrature helpers import it, when called.  scipy.special costs about
-0.25 s and 25 MiB; only normal initial laws and the two Brownian hitting
-laws evaluate one of its functions, so a Lévy process or the OU diffusion
-from a point or a uniform law, to an exponential or a Weibull law, loads no
-scipy module at all, and no run loads numpy.random.  The checks run in a
-fresh interpreter, because other test modules import scipy themselves.
+0.25 s and 25 MiB; only normal initial laws evaluate one of its functions
+(ndtri).  The Brownian hitting laws and the Lévy measure evaluate theirs
+in-house, so Brownian motion, a Lévy process or the OU diffusion from a
+point or a uniform law, to any target law, loads no scipy module at all,
+and no run loads numpy.random.  The checks run in a fresh interpreter,
+because other test modules import scipy themselves.
 """
 
 import json
@@ -26,13 +27,11 @@ SCRIPT = textwrap.dedent(
     """
     import json, math, os, sys
 
-    HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
-
     from ifpt import cli
     scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
     assert not scipy, f"import ifpt.cli: {scipy[:5]} loaded"
 
-    # the Brownian hitting law evaluates scipy.special, which loads none of HEAVY
+    # the Brownian hitting law evaluates its normal CDF in-house
     cfg = {
         "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0}, "initial": {"kind": "point", "x": 0.0},
         "target": {"kind": "levy_hitting", "c": 1.0}, "grid": {"t_start": 0.0625, "dt": 0.0625, "steps": 16},
@@ -43,8 +42,8 @@ SCRIPT = textwrap.dedent(
         json.dump(cfg, f)
     assert cli.main(["calibrate", "-c", path, "-o", out]) == 0
     assert os.path.isfile(os.path.join(out, "boundary.csv"))
-    heavy = [m for m in HEAVY if m in sys.modules]
-    assert "scipy.special" in sys.modules and not heavy, heavy
+    scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+    assert not scipy, f"levy_hitting calibrate: {scipy[:5]} loaded"
 
     from scipy.special import gamma, gammainc
     from ifpt.processes import (
@@ -96,7 +95,20 @@ ROUND_TRIP = textwrap.dedent(
 )
 
 GRID = {"t_start": 0.0625, "dt": 0.0625, "steps": 16}
+BROWNIAN = {"kind": "brownian", "mu": 0.0, "vol": 1.0}
 ROUND_TRIPS = {
+    # BENCH1: the level-hitting law of Brownian motion (ndtr)
+    "brownian": {
+        "process": BROWNIAN,
+        "initial": {"kind": "point", "x": 0.0},
+        "target": {"kind": "levy_hitting", "c": 1.0},
+    },
+    # a downward-drifting line: the only target that evaluates erfcx
+    "inverse_gaussian": {
+        "process": BROWNIAN,
+        "initial": {"kind": "point", "x": 0.0},
+        "target": {"kind": "inverse_gaussian_hitting", "c": 1.0, "gamma": -0.5},
+    },
     # every Lévy measure component: tempered and untempered stable, gamma, atoms
     "levy": {
         "process": {

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtr
+from scipy.special import erfcx, ndtr
 
+from ifpt import targets
 from ifpt.targets import (
     EmpiricalTarget,
     Exponential,
@@ -123,6 +124,14 @@ class TestSurvival:
             assert law == InverseGaussianHitting(c, 0.0)
             assert np.array_equal(law.survival(ts), 1.0 - 2.0 * ndtr(-c / np.sqrt(ts)))
 
+    @pytest.mark.parametrize("gamma", [0.5, 0.0, -0.5])
+    def test_ig_at_infinity_is_the_never_hit_mass(self, gamma):
+        # inf / inf in the formula used to give NaN for every gamma
+        law = InverseGaussianHitting(1.0, gamma)
+        want = max(0.0, 1.0 - math.exp(-2.0 * gamma))
+        assert float(law.survival(math.inf)) == want
+        assert law.survival(np.array([0.0, 1e300, math.inf])).tolist() == [1.0, want, want]
+
     def test_defective_ig_floor(self):
         # upward drifting boundary: survival never drops below 1 - e^{-2 gamma c}
         t = InverseGaussianHitting(1.0, 0.5)
@@ -182,3 +191,55 @@ class TestSurvival:
         ts = np.linspace(0, 5, 64)
         direct = 0.3 * comps[0][1].survival(ts) + 0.7 * comps[1][1].survival(ts)
         assert np.allclose(mix.survival(ts), direct, atol=1e-15)
+
+
+# BENCH1's arguments -c / sqrt(t_k), every branch of Cephes' ndtr on both
+# sides of 0 (it switches at |a| = 1, 1.41 and 11.3, and erfc underflows past
+# 37.7) and a geometric sweep down to the smallest normal double
+NDTR_POINTS = np.concatenate(
+    (
+        -1.0 / np.sqrt(np.arange(1, 1025) / 512),
+        np.linspace(-40.0, 40.0, 298_977),
+        np.geomspace(2.2e-308, 40.0, 100_000),
+        -np.geomspace(2.2e-308, 40.0, 100_000),
+    )
+)
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestSpecialFunctions:
+    """The in-house normal CDF and scaled erfc, held to scipy.special."""
+
+    def test_ndtr_is_scipy_bit_for_bit(self):
+        assert NDTR_POINTS.size == 500_001
+        assert_bits_equal(targets.ndtr(NDTR_POINTS), ndtr(NDTR_POINTS))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_subnormal=True) | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324]),
+                    min_size=1, max_size=64))
+    def test_ndtr_at_any_double(self, xs):
+        # NaN in, NaN out, and no warning where scipy gives none
+        assert_bits_equal(targets.ndtr(np.array(xs)), ndtr(np.array(xs)))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=64))
+    def test_erfcx_close_to_scipy_up_to_50(self, xs):
+        xs = np.array(xs)
+        assert np.all(np.abs(targets.erfcx(xs) - erfcx(xs)) <= 4e-15 * erfcx(xs))
+
+    def test_erfcx_close_to_scipy_on_a_sweep(self):
+        xs = np.concatenate(([0.0, 1.0, 8.0, 50.0], np.linspace(0.0, 50.0, 20_001), np.geomspace(1e-300, 50.0, 20_000)))
+        assert np.all(np.abs(targets.erfcx(xs) - erfcx(xs)) <= 4e-15 * erfcx(xs))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(50.0, 1e300, exclude_min=True) | st.sampled_from([5e7, math.nextafter(5e7, 1e8)]),
+                    min_size=1, max_size=64))
+    def test_erfcx_is_scipy_bit_for_bit_above_50(self, xs):
+        # Faddeeva's continued fraction, the one scipy evaluates there
+        assert_bits_equal(targets.erfcx(np.array(xs)), erfcx(np.array(xs)))
