@@ -19,6 +19,7 @@ calls the command, writes ``report.json`` and prints the command's lines.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -35,6 +36,16 @@ from .orders import check_hazard_order
 from .processes import Levy, StateSpaceError, classify_levy
 from .verify import compare_boundaries, dkw_critical_value, forward_fpt, ks_statistic
 
+# CPython's own SHA-256, for the report's config hash: hashlib would load
+# OpenSSL (3.5 MiB resident) for this one digest
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
@@ -47,6 +58,13 @@ DKW_ALPHA = 0.05
 MODEL = ("process", "initial", "target", "grid")
 # the file every command writes, see COMMANDS
 REPORT = {"output.report": "report.json"}
+
+# mallopt's parameters (malloc.h), and the values glibc's dynamic thresholds
+# reach on a 64-bit host: the largest mmap threshold, and twice it
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 64 << 20
 
 
 def _seed_arg(text: str) -> int:
@@ -87,27 +105,55 @@ def _echo_model(config: RunConfig) -> dict:
     return {k: config.raw[k] for k in MODEL if k in config.raw}
 
 
-@lru_cache(maxsize=1)
-def _versions() -> dict:
-    # importlib.metadata reads scipy's version without importing scipy (about
-    # 0.25 s), and costs 25 ms itself, so only a report loads it; ifpt and
-    # numpy are the copies that run
+def _scipy_version() -> str | None:
+    """scipy's version, read from the name of the first
+    ``scipy-<version>.dist-info`` directory on sys.path, PyPA's layout of an
+    installed package, without importing scipy (about 0.25 s).  Only where no
+    such directory exists does importlib.metadata answer: it loads email, csv
+    and socket (1.4 MiB, 30 ms) to read the same version."""
+    for entry in sys.path:
+        try:
+            names = os.listdir(entry or ".")
+        except OSError:
+            continue
+        for name in names:
+            if name.startswith("scipy-") and name.endswith(".dist-info"):
+                return name[len("scipy-") : -len(".dist-info")]
     from importlib import metadata
 
     try:
-        scipy = metadata.version("scipy")
+        return metadata.version("scipy")
     except metadata.PackageNotFoundError:
-        scipy = None
-    return {"ifpt": __version__, "numpy": np.__version__, "scipy": scipy}
+        return None
+
+
+@lru_cache(maxsize=1)
+def _versions() -> dict:
+    # ifpt and numpy are the copies that run
+    return {"ifpt": __version__, "numpy": np.__version__, "scipy": _scipy_version()}
 
 
 def _provenance(config: RunConfig) -> dict:
     """The package versions and the SHA-256 of the canonical config: the parsed
     document dumped with sorted keys and no whitespace."""
-    import hashlib  # 5 ms at import, for the report only
-
     canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
-    return {"versions": _versions(), "config_sha256": hashlib.sha256(canonical.encode()).hexdigest()}
+    return {"versions": _versions(), "config_sha256": sha256(canonical.encode()).hexdigest()}
+
+
+def _set_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds where its dynamic ones settle.
+    Below them, the heap top that each step frees would be trimmed and faulted
+    back in on the next step.  Both or neither: M_TRIM_THRESHOLD alone also
+    stops the mmap threshold from adapting, and every particle array is then
+    mapped and faulted in afresh."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return  # no mallopt (macOS), or no process-wide symbol table (Windows)
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD):
+        mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
 
 
 def _paths(config: RunConfig, out_dir: str, files: dict) -> dict[str, str]:
@@ -284,6 +330,7 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     np.seterr(over="ignore")
+    _set_heap_thresholds()
     try:
         return _run(args)
     except (ConfigError, io.CsvFormatError) as exc:

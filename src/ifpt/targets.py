@@ -216,11 +216,14 @@ class InverseGaussianHitting(TargetDistribution):
             x = (self.gamma * t - self.c) / rt
             # exp(-2 gamma c) overflows for gamma c < -354; for gamma < 0 (so x < 0), erfcx gives
             # exp(x^2 / 2) ndtr(x) with no cancelling huge exponents, as -2 gamma c = (x^2 - y^2) / 2
+            first = ndtr(y)
             if self.gamma < 0:
                 second = 0.5 * _libm(math.exp, -0.5 * y * y) * erfcx(-x / math.sqrt(2.0))
-            else:
+            elif self.gamma > 0:
                 second = math.exp(-2.0 * self.gamma * self.c) * ndtr(x)
-            cdf = ndtr(y) + second
+            else:
+                second = first  # x is y and exp(-2 gamma c) is 1
+            cdf = first + second
         # at t = inf, x and y are inf / inf; the limit is the never-hit mass
         never_hit = 1.0 - math.exp(-2.0 * self.gamma * self.c) if self.gamma > 0 else 0.0
         return np.where(t > 0, np.where(t < math.inf, 1.0 - cdf, never_hit), 1.0)

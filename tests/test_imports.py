@@ -1,4 +1,5 @@
-"""CLI runs load no more of scipy than they evaluate.
+"""CLI runs load no more of scipy than they evaluate, and no OpenSSL or
+importlib.metadata for the report.
 
 scipy.integrate, with the scipy.optimize/linalg/sparse tree it loads, costs
 about 0.3 s and 25 MiB per process, and no CLI command integrates: only the
@@ -7,8 +8,12 @@ quadrature helpers import it, when called.  scipy.special costs about
 (ndtri).  The Brownian hitting laws and the Lévy measure evaluate theirs
 in-house, so Brownian motion, a Lévy process or the OU diffusion from a
 point or a uniform law, to any target law, loads no scipy module at all,
-and no run loads numpy.random.  The checks run in a fresh interpreter,
-because other test modules import scipy themselves.
+and no run loads numpy.random.  Each report hashes its config with
+CPython's own SHA-256, not hashlib (OpenSSL, 3.5 MiB), and reads scipy's
+version from its dist-info directory's name, not through
+importlib.metadata (email, csv and socket, 1.4 MiB).  The checks run in a
+fresh interpreter, because other test modules import scipy, hashlib and
+importlib.metadata themselves.
 """
 
 import json
@@ -17,9 +22,11 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import ifpt
+from ifpt import cli
 
 SRC = os.path.dirname(os.path.dirname(ifpt.__file__))
 
@@ -71,7 +78,8 @@ SCRIPT = textwrap.dedent(
 
 
 # calibrate, then verify the written boundary, then list the scipy modules
-# loaded, and numpy.random, which no run needs: every draw is keyed
+# loaded, and numpy.random, which no run needs: every draw is keyed; and
+# hashlib, importlib.metadata and email, which the report does not need
 ROUND_TRIP = textwrap.dedent(
     """
     import json, os, sys
@@ -90,7 +98,11 @@ ROUND_TRIP = textwrap.dedent(
     with open(os.path.join(out, "report.json")) as f:
         report = json.load(f)
     assert report["versions"]["scipy"] and report["config_sha256"]
-    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))))
+    report_modules = {"hashlib", "_hashlib", "importlib.metadata"}
+    print(json.dumps(sorted(
+        m for m in sys.modules
+        if m.split(".")[0] in ("scipy", "email") or m.startswith("numpy.random") or m in report_modules
+    )))
     """
 )
 
@@ -158,3 +170,45 @@ def test_commands_do_not_import_scipy_integrate(tmp_path):
 def test_round_trip_loads_no_scipy(tmp_path, name):
     cfg = dict(ROUND_TRIPS[name], grid=GRID, particles=500, seed=1)
     assert json.loads(run_fresh(ROUND_TRIP, str(tmp_path), json.dumps(cfg))) == []
+
+
+@pytest.fixture
+def fresh_versions():
+    # _versions caches its answer for the process: clear it around the test
+    cli._versions.cache_clear()
+    yield cli._versions
+    cli._versions.cache_clear()
+
+
+def dist_info(directory, name, version):
+    info = directory / f"{name}-{version}.dist-info"
+    info.mkdir()
+    (info / "METADATA").write_text(f"Metadata-Version: 2.1\nName: {name}\nVersion: {version}\n")
+
+
+def test_versions_reads_the_first_scipy_dist_info_name(tmp_path, monkeypatch, fresh_versions):
+    from importlib import metadata
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    dist_info(first, "numpy", "9.0.0")
+    dist_info(first, "scipy", "1.2.3")
+    dist_info(second, "scipy", "4.5.6")
+    monkeypatch.setattr(sys, "path", [str(tmp_path / "missing"), str(first), str(second)])
+    assert fresh_versions()["scipy"] == metadata.version("scipy") == "1.2.3"
+
+
+def test_versions_without_a_scipy_dist_info_asks_importlib_metadata(tmp_path, monkeypatch, fresh_versions):
+    from importlib import metadata
+
+    # a legacy egg-info, which importlib.metadata reads and the name scan skips
+    (tmp_path / "scipy-7.8.9.egg-info").write_text("Metadata-Version: 1.0\nName: scipy\nVersion: 7.8.9\n")
+    monkeypatch.setattr(sys, "path", [str(tmp_path)])
+    assert fresh_versions()["scipy"] == metadata.version("scipy") == "7.8.9"
+
+
+def test_versions_without_scipy_is_none(tmp_path, monkeypatch, fresh_versions):
+    dist_info(tmp_path, "numpy", "9.0.0")
+    monkeypatch.setattr(sys, "path", [str(tmp_path)])
+    assert fresh_versions() == {"ifpt": ifpt.__version__, "numpy": np.__version__, "scipy": None}

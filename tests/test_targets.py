@@ -124,6 +124,18 @@ class TestSurvival:
             assert law == InverseGaussianHitting(c, 0.0)
             assert np.array_equal(law.survival(ts), 1.0 - 2.0 * ndtr(-c / np.sqrt(ts)))
 
+    @pytest.mark.parametrize("c", [1e-3, 0.3, 1.0, 2.5, 7.0, 1e3])
+    def test_level_hitting_is_the_two_term_formula_bit_for_bit(self, c):
+        # at gamma = 0 the survival evaluates ndtr once and doubles it: x and
+        # y are one array and exp(-2 gamma c) is 1, so the sum of both terms
+        # holds bit for bit, for t across 16 decades
+        ts = np.geomspace(1e-8, 1e8, 2001)
+        rt = np.sqrt(ts)
+        y = (-c - 0.0 * ts) / rt
+        x = (0.0 * ts - c) / rt
+        two_terms = targets.ndtr(y) + math.exp(-2.0 * 0.0 * c) * targets.ndtr(x)
+        assert_bits_equal(LevyHittingLaw(c).survival(ts), 1.0 - two_terms)
+
     @pytest.mark.parametrize("gamma", [0.5, 0.0, -0.5])
     def test_ig_at_infinity_is_the_never_hit_mass(self, gamma):
         # inf / inf in the formula used to give NaN for every gamma
