@@ -19,10 +19,6 @@ class CsvFormatError(ValueError):
     pass
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def parse_float(s: str) -> float:
     try:
         return float(s)
@@ -70,7 +66,7 @@ def _write_rows(path, header: str, *columns):
     """One line per row of the columns, after the header line if there is one.
 
     One %-format and one write per chunk of rows: "%.17g" prints each float
-    as format_float does, and memory stays bounded for any row count.
+    with 17 significant digits, and memory stays bounded for any row count.
     """
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:

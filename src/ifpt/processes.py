@@ -29,7 +29,7 @@ from .targets import _libm
 
 QUAD_REL_TOL = 1e-8
 SCALE_ABS_TOL = 1e-10
-# points of the log-spaced table that inverts a density component's jump tail
+# points of the log-spaced table that inverts a tempered component's jump tail
 TAIL_TABLE_SIZE = 4096
 
 
@@ -193,7 +193,10 @@ class FiniteAtoms:
         tail = [(x, r) for x, r in self.atoms if abs(x) >= eta]
         sizes = np.array([x for x, _ in tail])
         rates = np.array([r for _, r in tail])
-        cum = np.cumsum(rates) / rates.sum()
+        # divided by its own last entry, which is then exactly 1.0, so that no
+        # uniform in (0, 1) lies above it and indexes past the sizes
+        cum = np.cumsum(rates)
+        cum /= cum[-1]
 
         def ppf(u):
             return sizes[np.searchsorted(cum, u, side="left")]
@@ -201,47 +204,94 @@ class FiniteAtoms:
         return ppf
 
 
-class _DensityComponent:
-    """Shared machinery for one-sided absolutely continuous components.
+@dataclass(frozen=True)
+class OneSidedStable:
+    """Density c |x|^(-1-alpha) exp(-tempering |x|) on one side of 0.
 
-    Subclasses define the density of jump magnitudes on (0, inf), its tail
-    rate ``tail_rate(y)`` (the rate of magnitudes >= y, y a float or a 1-D
-    array) and the analytic pieces; ``side`` mirrors the support onto the
-    negative axis.
+    ``side`` mirrors the support onto the negative axis.  At alpha = 0 it is
+    the Gamma process's jump measure, which needs tempering > 0; see
+    ``GammaSubordinatorMeasure``.
     """
+
+    side: str
+    alpha: float
+    intensity: float
+    tempering: float = 0.0
 
     touches_zero = True
     infinite_mass = True
-    unbounded_variation = False
 
     def __post_init__(self):
         if self.side not in ("+", "-"):
             raise ValueError("side must be '+' or '-'")
+        if not 0.0 <= self.alpha < 2.0:
+            raise ValueError("alpha must be in [0, 2)")
+        if self.intensity <= 0 or self.tempering < 0:
+            raise ValueError("need intensity > 0 and tempering >= 0")
+        if self.alpha == 0.0 and self.tempering == 0.0:
+            raise ValueError("alpha = 0 needs tempering > 0")
         object.__setattr__(self, "has_pos", self.side == "+")
         object.__setattr__(self, "has_neg", self.side == "-")
+        # integral of min(1, |x|) is infinite iff alpha >= 1, tempered or not
+        object.__setattr__(self, "unbounded_variation", self.alpha >= 1.0)
 
     @property
     def sign(self) -> float:
         return 1.0 if self.side == "+" else -1.0
 
+    def tail_rate(self, y):
+        """The rate of jump magnitudes >= y, y a float or a 1-D array."""
+        c, a, lam = self.intensity, self.alpha, self.tempering
+        if lam == 0.0:
+            return c * y**-a / a
+        return c * lam**a * upper_incomplete_gamma(-a, lam * y)
+
     def mean_trunc(self, eta: float) -> float:
         if eta >= 1.0:
             return 0.0
-        return self.sign * self._magnitude_mean(eta, 1.0)
+        c, a, lam = self.intensity, self.alpha, self.tempering
+        if lam == 0.0 and a == 1.0:
+            mean = c * math.log(1.0 / eta)
+        elif lam == 0.0:
+            mean = c * (1.0 - eta ** (1.0 - a)) / (1.0 - a)
+        else:
+            mean = c * lam ** (a - 1.0) * (
+                upper_incomplete_gamma(1.0 - a, lam * eta) - upper_incomplete_gamma(1.0 - a, lam)
+            )
+        return self.sign * mean
+
+    def small_var(self, eta: float) -> float:
+        c, a, lam = self.intensity, self.alpha, self.tempering
+        if lam == 0.0:
+            return c * eta ** (2.0 - a) / (2.0 - a)
+        lower = _gamma_tails(2.0 - a, np.array([lam * eta]))[0]
+        return c * lam ** (a - 2.0) * math.gamma(2.0 - a) * float(lower[0])
 
     def char_integral(self, theta: float) -> complex:
         # computed on jump magnitudes; mirroring the support flips the
         # imaginary part only (the real part is even in x)
-        re = _quad(lambda m: (1.0 - math.cos(theta * m)) * self._magnitude_density(m), 0.0, 1.0)
-        re += _quad(lambda m: (1.0 - math.cos(theta * m)) * self._magnitude_density(m), 1.0, np.inf)
-        im = _quad(
-            lambda m: (theta * m - math.sin(theta * m)) * self._magnitude_density(m), 0.0, 1.0
-        )
-        im += _quad(lambda m: -math.sin(theta * m) * self._magnitude_density(m), 1.0, np.inf)
+        c, a, lam = self.intensity, self.alpha, self.tempering
+
+        def dens(m):
+            return c * m ** (-1.0 - a) * math.exp(-lam * m)
+
+        re = _quad(lambda m: (1.0 - math.cos(theta * m)) * dens(m), 0.0, 1.0)
+        re += _quad(lambda m: (1.0 - math.cos(theta * m)) * dens(m), 1.0, np.inf)
+        im = _quad(lambda m: (theta * m - math.sin(theta * m)) * dens(m), 0.0, 1.0)
+        im += _quad(lambda m: -math.sin(theta * m) * dens(m), 1.0, np.inf)
         return complex(re, self.sign * im)
 
     def tail_ppf(self, eta: float):
-        """Inverse CDF of the normalized magnitude tail, via a log-spaced table."""
+        """Inverse CDF of the normalized magnitude tail: in closed form without
+        tempering, else through a log-spaced table."""
+        sign = self.sign
+        if self.tempering == 0.0:
+            a = self.alpha
+
+            def ppf(u):
+                return sign * eta * (1.0 - u) ** (-1.0 / a)
+
+            return ppf
         rate = self.tail_rate(eta)
         hi = eta
         while self.tail_rate(hi) > 1e-13 * rate:
@@ -251,7 +301,6 @@ class _DensityComponent:
         cdf[0] = 0.0
         cdf, idx = np.unique(cdf, return_index=True)
         logy = np.log(ys)[idx]
-        sign = self.sign
 
         def ppf(u):
             return sign * np.exp(np.interp(u, cdf, logy))
@@ -259,87 +308,12 @@ class _DensityComponent:
         return ppf
 
 
-@dataclass(frozen=True)
-class OneSidedStable(_DensityComponent):
-    """Density c |x|^(-1-alpha) exp(-tempering |x|) on one side of 0."""
-
-    side: str
-    alpha: float
-    intensity: float
-    tempering: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError("alpha must be in (0, 2)")
-        if self.intensity <= 0 or self.tempering < 0:
-            raise ValueError("need intensity > 0 and tempering >= 0")
-        # integral of min(1, |x|) is infinite iff alpha >= 1, tempered or not
-        object.__setattr__(self, "unbounded_variation", self.alpha >= 1.0)
-
-    def _magnitude_density(self, m):
-        return self.intensity * m ** (-1.0 - self.alpha) * math.exp(-self.tempering * m)
-
-    def tail_rate(self, y):
-        c, a, lam = self.intensity, self.alpha, self.tempering
-        if lam == 0.0:
-            return c * y**-a / a
-        return c * lam**a * upper_incomplete_gamma(-a, lam * y)
-
-    def _magnitude_mean(self, lo: float, hi: float) -> float:
-        c, a, lam = self.intensity, self.alpha, self.tempering
-        if lam == 0.0:
-            if a == 1.0:
-                return c * math.log(hi / lo)
-            return c * (hi ** (1.0 - a) - lo ** (1.0 - a)) / (1.0 - a)
-        return c * lam ** (a - 1.0) * (
-            upper_incomplete_gamma(1.0 - a, lam * lo)
-            - upper_incomplete_gamma(1.0 - a, lam * hi)
-        )
-
-    def small_var(self, eta: float) -> float:
-        c, a, lam = self.intensity, self.alpha, self.tempering
-        if lam == 0.0:
-            return c * eta ** (2.0 - a) / (2.0 - a)
-        lower = _gamma_tails(2.0 - a, np.array([lam * eta]))[0]
-        return c * lam ** (a - 2.0) * math.gamma(2.0 - a) * float(lower[0])
-
-    def tail_ppf(self, eta: float):
-        if self.tempering == 0.0:
-            sign, a = self.sign, self.alpha
-
-            def ppf(u):
-                return sign * eta * (1.0 - u) ** (-1.0 / a)
-
-            return ppf
-        return super().tail_ppf(eta)
-
-
-@dataclass(frozen=True)
-class GammaSubordinatorMeasure(_DensityComponent):
-    """Gamma-process jump measure, density shape * |x|^-1 exp(-rate |x|)."""
-
-    side: str
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.shape <= 0 or self.rate <= 0:
-            raise ValueError("need shape > 0 and rate > 0")
-
-    def _magnitude_density(self, m):
-        return self.shape * math.exp(-self.rate * m) / m
-
-    def tail_rate(self, y):
-        return self.shape * upper_incomplete_gamma(0.0, self.rate * y)
-
-    def _magnitude_mean(self, lo: float, hi: float) -> float:
-        return self.shape * (math.exp(-self.rate * lo) - math.exp(-self.rate * hi)) / self.rate
-
-    def small_var(self, eta: float) -> float:
-        g, r = self.shape, self.rate
-        return g * (1.0 - (1.0 + r * eta) * math.exp(-r * eta)) / r**2
+def GammaSubordinatorMeasure(side: str, shape: float, rate: float) -> OneSidedStable:
+    """The Gamma process's jump measure, density shape |x|^-1 exp(-rate |x|):
+    the tempered stable density at alpha = 0."""
+    if not (shape > 0 and rate > 0):
+        raise ValueError("need shape > 0 and rate > 0")
+    return OneSidedStable(side, 0.0, shape, rate)
 
 
 @dataclass(frozen=True)
@@ -421,7 +395,8 @@ def classify_levy(triple: LevyTriple) -> LevyClassification:
     has infinite total mass.  Uniqueness holds on the full interval
     (0, t^xi) under unbounded variation or an accumulation of positive
     jumps at 0, and only on the target's support when the accumulation is
-    from below.
+    from below.  An accumulation is one component's: one whose support
+    touches 0 on that side.
     """
     comps = triple.levy_measure.components
     sigma_pos = triple.sigma2 > 0
@@ -430,10 +405,10 @@ def classify_levy(triple: LevyTriple) -> LevyClassification:
     zero_supp = any(c.touches_zero for c in comps)
     pos_mass = any(c.has_pos for c in comps)
     neg_mass = any(c.has_neg for c in comps)
-    if unbounded or (zero_supp and pos_mass):
+    if unbounded or any(c.touches_zero and c.has_pos for c in comps):
         uniq = Uniqueness.FULL_INTERVAL
         descr = "(0, t_xi)"
-    elif zero_supp and neg_mass:
+    elif any(c.touches_zero and c.has_neg for c in comps):
         uniq = Uniqueness.SUPPORT_ONLY
         descr = "supp(target law) intersected with (0, t_xi)"
     else:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from ifpt.config import COEFFICIENTS, INITIALS, MEASURES, PROCESSES, TARGETS, ConfigError, parse_config
-from ifpt.processes import GammaSubordinatorMeasure, IntervalDiffusion, Levy, OneSidedStable
+from ifpt.processes import IntervalDiffusion, Levy, OneSidedStable
 from ifpt.targets import InverseGaussianHitting, Mixture
 
 BASE = {
@@ -109,7 +109,7 @@ def test_levy_measure_components():
     assert isinstance(model, Levy)
     comps = model.triple.levy_measure.components
     assert isinstance(comps[1], OneSidedStable) and comps[1].tempering == 0.0
-    assert isinstance(comps[2], GammaSubordinatorMeasure)
+    assert isinstance(comps[2], OneSidedStable) and comps[2].alpha == 0.0
     assert model.eta == 1e-2 and model.small_jump_mode == "gaussian"
 
 
@@ -271,9 +271,9 @@ def test_minimal_spec_builds(table_name, kind, tmp_path):
     table, _, _, pick = PLACES[table_name]
     built = pick(_parse_at(table_name, MINIMAL[table_name, kind], tmp_path))
     make = table[kind][0]
-    # the brownian, levy and levy_hitting entries' constructors are functions;
-    # each returns the type named here
-    types = {"brownian": IntervalDiffusion, "levy": Levy, "levy_hitting": InverseGaussianHitting}
+    # the brownian, levy, gamma and levy_hitting entries' constructors are
+    # functions; each returns the type named here
+    types = {"brownian": IntervalDiffusion, "levy": Levy, "gamma": OneSidedStable, "levy_hitting": InverseGaussianHitting}
     assert isinstance(built, make if isinstance(make, type) else types[kind])
 
 
@@ -341,6 +341,8 @@ def test_extra_key_rejected_at_its_path(table_name, kind, tmp_path):
         ("measure", {"type": "atoms", "atoms": {}}, "process.measure[0]", r"atoms must be a list of pairs"),
         ("measure", {"type": "atoms", "atoms": 5}, "process.measure[0]", r"atoms must be a list of pairs"),
         ("measure", {"type": "atoms", "atoms": "ab"}, "process.measure[0]", r"atoms must be a list of pairs"),
+        # the untempered stable density at alpha = 0 has an infinite tail rate
+        ("measure", {"type": "stable", "side": "+", "alpha": 0.0, "intensity": 1.0}, "process.measure[0]", "alpha = 0 needs tempering > 0"),
     ],
 )
 def test_parameter_outside_the_model_rejected_at_its_path(table_name, spec, path, problem, tmp_path):

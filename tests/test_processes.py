@@ -369,8 +369,6 @@ class TestSmallJumpStats:
             eta = 0.03
 
             def dens(m):
-                if isinstance(comp, GammaSubordinatorMeasure):
-                    return comp.shape * math.exp(-comp.rate * m) / m
                 return comp.intensity * m ** (-1 - comp.alpha) * math.exp(-comp.tempering * m)
 
             sign = 1.0 if comp.side == "+" else -1.0
@@ -418,6 +416,47 @@ class TestTailSampler:
     def test_negative_side_sign(self):
         ppf = GammaSubordinatorMeasure("-", 1.0, 1.0).tail_ppf(0.05)
         assert np.all(ppf(np.linspace(0.01, 0.99, 100)) <= -0.05 * (1 - 1e-12))
+
+    def test_atoms_table_takes_the_largest_uniform(self):
+        # np.cumsum's last entry and np.sum's pairwise total round apart: with
+        # these 284 rates the table divided by the sum ended at 1 - 1.1e-15,
+        # below the largest uniform and below the 1 - 1e-15 the Levy sampler
+        # clips to, and inversion indexed past the sizes
+        rates = np.random.default_rng(0).random(284)
+        comp = FiniteAtoms(tuple(zip(np.arange(1.0, 285.0), rates)))
+        u = np.array([1.0 - 2.0**-53])
+        assert comp.tail_ppf(0.5)(u).tolist() == [284.0]
+        assert Levy(LevyTriple(0.0, 0.0, measure(comp)))._tail_ppf(u).tolist() == [284.0]
+
+
+class TestGammaMeasure:
+    """The Gamma measure is the tempered stable density at alpha = 0."""
+
+    SHAPE, RATE = 1.3, 2.0
+
+    def test_is_the_stable_component_at_alpha_zero(self):
+        assert GammaSubordinatorMeasure("-", self.SHAPE, self.RATE) == OneSidedStable("-", 0.0, self.SHAPE, self.RATE)
+
+    def test_tail_rate_is_shape_times_e1(self):
+        y = np.geomspace(1e-6, 40.0, 500)
+        got = GammaSubordinatorMeasure("+", self.SHAPE, self.RATE).tail_rate(y)
+        assert got.tobytes() == (self.SHAPE * upper_incomplete_gamma(0.0, self.RATE * y)).tobytes()
+
+    def test_mean_trunc_matches_closed_form(self):
+        comp = GammaSubordinatorMeasure("-", self.SHAPE, self.RATE)
+        for eta in np.geomspace(1e-6, 0.99, 200):
+            hi, lo = math.exp(-self.RATE * eta), math.exp(-self.RATE)
+            want = -self.SHAPE * (hi - lo) / self.RATE
+            # e^(-r eta) - e^(-r) cancels as eta nears 1, in either form
+            assert comp.mean_trunc(eta) == pytest.approx(want, rel=1e-14 * hi / (hi - lo), abs=0.0)
+
+    @pytest.mark.parametrize("rate", [1.0, 20.0])
+    def test_small_var_matches_scipy(self, rate):
+        # g (1 - (1 + r eta) e^(-r eta)) / r^2 cancelled: 9e-5 off at r eta = 1e-6
+        comp = GammaSubordinatorMeasure("+", self.SHAPE, rate)
+        for x in np.geomspace(1e-6, 10.0, 200):
+            want = self.SHAPE / rate**2 * gammainc(2.0, x)
+            assert comp.small_var(x / rate) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestUpperIncompleteGamma:
@@ -489,6 +528,15 @@ class TestClassify:
         for c in (lo, tempered_lo):
             assert c.existence_diffuse
             assert c.uniqueness is Uniqueness.FULL_INTERVAL  # 0 in supp, positive mass
+
+    def test_accumulation_is_decided_per_component(self):
+        # the Gamma measure accumulates at 0 from below; the atom at 1 adds
+        # positive mass but no accumulation at 0
+        c = classify_levy(
+            LevyTriple(0.0, 0.0, measure(GammaSubordinatorMeasure("-", 1.0, 1.0), FiniteAtoms(((1.0, 1.0),))))
+        )
+        assert c.zero_in_supp and c.pos_mass and c.neg_mass
+        assert c.uniqueness is Uniqueness.SUPPORT_ONLY
 
     def test_invariant_biconditionals(self):
         triples = [
