@@ -171,9 +171,9 @@ def evolve(model, initial: InitialDistribution, grid: TimeGrid, n: int, seed: in
     Yields ``(k, t, ensemble)`` after step k; the caller kills through
     ``ensemble.remove`` before the next step is drawn.
     """
-    x = np.asarray(initial.sample(n, seed), dtype=float)
-    check_positions(model, x, "initial sampler")
-    ens = Ensemble(ids=np.arange(n), x=x)
+    # no local name holds the start positions: they go once step 0 replaces ens.x
+    ens = Ensemble(ids=np.arange(n), x=np.asarray(initial.sample(n, seed), dtype=float))
+    check_positions(model, ens.x, "initial sampler")
     prev_t = 0.0
     for k, t in enumerate(grid.points):
         if len(ens.ids):

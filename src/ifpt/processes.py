@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .rng import MAX_SIZE, StreamKeys
+from .rng import _CHUNK, MAX_SIZE, StreamKeys
 from .targets import _libm
 
 QUAD_REL_TOL = 1e-8
@@ -539,11 +539,15 @@ class Levy:
             _poisson_table_end(self.jump_rate * dt)
 
     def step(self, x: np.ndarray, dt: float, keys: StreamKeys, diag: Diagnostics | None) -> np.ndarray:
-        out = x + self.drift * dt
         if self.gauss_std > 0:
-            z = keys.normals(slot=0)
-            z *= self.gauss_std * math.sqrt(dt)
-            out += z
+            # built in the normals' buffer, x + drift * dt a chunk at a time: the sum
+            # z + (x + drift * dt) is bit for bit (x + drift * dt) + z, as IEEE addition commutes
+            out = keys.normals(slot=0)
+            out *= self.gauss_std * math.sqrt(dt)
+            for a in range(0, len(x), _CHUNK):
+                out[a : a + _CHUNK] += x[a : a + _CHUNK] + self.drift * dt
+        else:
+            out = x + self.drift * dt
         if self.jump_rate > 0:
             jumping, counts = poisson_jumps(self.jump_rate * dt, keys.uniforms(slot=1))
             # a particle's j-th jump size is keyed (slot 2, row j, id): it does
@@ -616,9 +620,11 @@ class IntervalDiffusion:
                 prop += noise
             else:
                 # the same sum, added into the noise with no second full-size array; no
-                # normal is +-0 and x + 0.0 differs from x only in a zero's sign
-                noise += x + prop * h if prop else x
-                prop = noise
+                # normal is +-0 and x + 0.0 differs from x only in a zero's sign. The last of
+                # several substeps sums into an array of its own, so that the result does not
+                # hold the whole block alive
+                last = m > 1 and j == m - 1
+                prop = np.add(noise, x + prop * h if prop else x, out=None if last else noise)
             if reflect:
                 # L + |prop - L|; with L == 0 both shifts are exact no-ops
                 if L:

@@ -53,14 +53,16 @@ def forward_fpt(
     seed: int,
 ) -> FptSample:
     """Simulate n fresh paths; FPT is the first grid time with X >= b."""
-    times = np.full(n, math.inf)
-    for k, t, ens in evolve(model, initial, boundary.grid, n, seed, None):
+    points = boundary.grid.points
+    # each path's crossing step, in the narrowest type; len(points) marks no crossing
+    hit = np.full(n, len(points), dtype=np.min_scalar_type(len(points)))
+    for k, _, ens in evolve(model, initial, boundary.grid, n, seed, None):
         crossed = np.flatnonzero(ens.x >= boundary.values[k])
-        times[ens.ids[crossed]] = t
+        hit[ens.ids[crossed]] = k
         ens.remove(crossed)
         if not len(ens.ids):
             break
-    return FptSample(times=times, grid=boundary.grid)
+    return FptSample(times=np.append(points, math.inf)[hit], grid=boundary.grid)
 
 
 def ks_statistic(sample: FptSample, target: TargetDistribution) -> tuple[float, float]:

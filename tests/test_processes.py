@@ -223,6 +223,13 @@ class TestDiffusionStep:
             # the OU diffusion of the benchmark: reflection at L == 0, R infinite
             (IntervalDiffusion(beta=OU(1.0), sigma=Constant(1.0), L=0.0,
                                lower_boundary_behavior="reflecting", dt_substeps=4), (0.0, 1.0)),
+            # constant coefficients over several substeps, rejecting at both ends: the
+            # last substep's sum goes to an array of its own
+            (IntervalDiffusion(beta=Constant(0.2), sigma=Constant(1.0), L=-1.0, R=1.0,
+                               dt_substeps=4), (-1.0, 1.0)),
+            # no drift, reflecting at L != 0
+            (IntervalDiffusion(beta=Constant(0.0), sigma=Constant(0.6), L=0.5,
+                               lower_boundary_behavior="reflecting", dt_substeps=3), (0.5, 2.0)),
             # a scalar drift added into an array noise
             (IntervalDiffusion(beta=Constant(0.7), sigma=Power(0.5, 1.0), L=0.5, R=2.0,
                                dt_substeps=2), (0.5, 2.0)),
@@ -545,11 +552,15 @@ class TestClassify:
             LevyTriple(0.0, 0.0, measure(FiniteAtoms(((1.0, 1.0),)))),
             LevyTriple(0.0, 0.0, measure(OneSidedStable("-", 0.5, 1.0))),
             LevyTriple(0.0, 0.0, measure(OneSidedStable("+", 1.7, 1.0))),
+            # pooled, this has 0 in the support and positive mass, but no
+            # component accumulates positive jumps at 0
+            LevyTriple(0.0, 0.0, measure(GammaSubordinatorMeasure("-", 1.0, 1.0), FiniteAtoms(((1.0, 1.0),)))),
         ]
         for t in triples:
             c = classify_levy(t)
-            full = c.unbounded_variation or (c.zero_in_supp and c.pos_mass)
-            support = (not full) and (c.zero_in_supp and c.neg_mass)
+            comps = t.levy_measure.components
+            full = c.unbounded_variation or any(m.touches_zero and m.has_pos for m in comps)
+            support = (not full) and any(m.touches_zero and m.has_neg for m in comps)
             assert (c.uniqueness is Uniqueness.FULL_INTERVAL) == full
             assert (c.uniqueness is Uniqueness.SUPPORT_ONLY) == support
 
