@@ -481,6 +481,19 @@ class Power:
 # positions x advanced by dt, drawing through ``keys`` (one entry per id).
 
 
+def _euler(z: np.ndarray, x: np.ndarray, beta, sigma, h: float) -> np.ndarray:
+    """x + beta(x) h + sigma(x) sqrt(h) z, written into the normals z one RNG
+    chunk at a time, with the coefficients evaluated on the chunk.  The sum
+    z (sigma sqrt(h)) + (x + beta h) is bit for bit the expression, as IEEE
+    addition and multiplication commute."""
+    sqh = math.sqrt(h)
+    for a in range(0, len(x), _CHUNK):
+        xs, zs = x[a : a + _CHUNK], z[a : a + _CHUNK]
+        zs *= sigma(xs) * sqh
+        zs += xs + beta(xs) * h
+    return z
+
+
 @dataclass(frozen=True)
 class Levy:
     """A Lévy process stepped by the jump decomposition at eta; its step constants
@@ -540,12 +553,7 @@ class Levy:
 
     def step(self, x: np.ndarray, dt: float, keys: StreamKeys, diag: Diagnostics | None) -> np.ndarray:
         if self.gauss_std > 0:
-            # built in the normals' buffer, x + drift * dt a chunk at a time: the sum
-            # z + (x + drift * dt) is bit for bit (x + drift * dt) + z, as IEEE addition commutes
-            out = keys.normals(slot=0)
-            out *= self.gauss_std * math.sqrt(dt)
-            for a in range(0, len(x), _CHUNK):
-                out[a : a + _CHUNK] += x[a : a + _CHUNK] + self.drift * dt
+            out = _euler(keys.normals(slot=0), x, Constant(self.drift), Constant(self.gauss_std), dt)
         else:
             out = x + self.drift * dt
         if self.jump_rate > 0:
@@ -568,9 +576,9 @@ class IntervalDiffusion:
 
     A substep landing at or above R is rejected (position kept, counter
     incremented); the lower boundary is folded back or rejected depending
-    on ``lower_boundary_behavior``.  ``beta`` and ``sigma`` return a new
-    array or a scalar, and the step writes into the arrays they return.
-    With constant coefficients on the whole line it is ``BrownianDrift``.
+    on ``lower_boundary_behavior``.  ``beta`` and ``sigma`` return an array
+    or a scalar.  With constant coefficients on the whole line it is
+    ``BrownianDrift``.
     """
 
     beta: object
@@ -599,32 +607,15 @@ class IntervalDiffusion:
     def step(self, x: np.ndarray, dt: float, keys: StreamKeys, diag: Diagnostics | None) -> np.ndarray:
         m = self.dt_substeps
         h = dt / m
-        sqh = math.sqrt(h)
         z = keys.normal_block(m, slot=0)
         L, R = self.L, self.R
         lower, upper = math.isfinite(L), math.isfinite(R)
         reflect = lower and self.lower_boundary_behavior == "reflecting"
         for j in range(m):
-            # x + beta(x) * h + sigma(x) * sqh * z[j], built in place in the
-            # expression's rounding order
-            noise = self.sigma(x)
-            if np.ndim(noise):
-                noise *= sqh
-                noise *= z[j]
-            else:
-                noise = np.multiply(z[j], noise * sqh, out=z[j])
-            prop = self.beta(x)
-            if np.ndim(prop):
-                prop *= h
-                prop += x
-                prop += noise
-            else:
-                # the same sum, added into the noise with no second full-size array; no
-                # normal is +-0 and x + 0.0 differs from x only in a zero's sign. The last of
-                # several substeps sums into an array of its own, so that the result does not
-                # hold the whole block alive
-                last = m > 1 and j == m - 1
-                prop = np.add(noise, x + prop * h if prop else x, out=None if last else noise)
+            # the last of several substeps goes into an array of its own, so that
+            # the result does not hold the whole block alive
+            row = z[j].copy() if m > 1 and j == m - 1 else z[j]
+            prop = _euler(row, x, self.beta, self.sigma, h)
             if reflect:
                 # L + |prop - L|; with L == 0 both shifts are exact no-ops
                 if L:

@@ -22,6 +22,7 @@ from ifpt.processes import (
     LevyMeasureSpec,
     LevyTriple,
     OneSidedStable,
+    OU,
 )
 from ifpt.rng import StreamKeys
 from ifpt.verify import forward_fpt
@@ -107,10 +108,20 @@ def test_constant_coefficient_substeps_return_an_array_of_their_own(mu):
     assert y.base is None
 
 
-def test_brownian_step_allocates_only_its_normals():
-    # one substep: the normals become the result, with no second array (below
-    # 2^17 paths the ziggurat's chunk scratch, not the block, sets the peak)
-    assert bytes_per_path(step_peak(BrownianDrift(0.0, 1.0), 1 / 16), 1 << 17) < 1.5 * 8
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_brownian_step_allocates_only_its_normals(mu):
+    # one substep: the normals become the result, with no second array for
+    # x + mu * h (below 2^17 paths the ziggurat's chunk scratch, not the block,
+    # sets the peak)
+    assert bytes_per_path(step_peak(BrownianDrift(mu, 1.0), 1 / 16), 1 << 17) < 1.5 * 8
+
+
+def test_ou_step_holds_its_normal_block_and_one_result():
+    # diffusion-ou's step: the (4, N) block, each substep written into its row
+    # with chunk-sized coefficients, and the last substep's own array; a
+    # full-size drift array per substep would take it to 6
+    model = IntervalDiffusion(OU(1.0), Constant(1.0), L=0.0, lower_boundary_behavior="reflecting", dt_substeps=4)
+    assert 4 * 8 <= bytes_per_path(step_peak(model, 1 / 32), 1 << 17) < 5.5 * 8
 
 
 def reference_fpt(model, initial, boundary, n, seed):

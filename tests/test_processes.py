@@ -258,27 +258,29 @@ class TestDiffusionStep:
                 x = prop
             return x
 
-        n = 5000
         lo, hi = x0
-        # open interior, with a tenth of the particles next to each end
-        x = np.linspace(lo, hi, n + 2)[1:-1]
-        x[: n // 10] = lo + (hi - lo) * 1e-3
-        x[-n // 10 :] = hi - (hi - lo) * 1e-3
-        x_in = x.copy()
-        got_diag, want_diag = Diagnostics(), Diagnostics()
-        got, want = x, x.copy()
-        for k in range(8):
-            keys = keys_for(n, seed=21, step=k, ids=np.arange(3, 3 * n + 3, 3))
-            got = model.step(got, 1 / 16, keys, got_diag)
-            want = reference(want, 1 / 16, keys, want_diag)
-            assert got.tobytes() == want.tobytes()
-        assert got_diag == want_diag
-        # the step writes into its own arrays, never into its input
-        assert x.tobytes() == x_in.tobytes()
-        if math.isfinite(model.R):
-            assert got_diag.upper_rejections > 0
-        if model.lower_boundary_behavior == "unattainable":
-            assert got_diag.lower_rejections > 0
+        # 5,000 paths fit in one of the RNG's chunks and 70,000 span three, over
+        # which the step evaluates the coefficients chunk by chunk
+        for n in (5000, 70_000):
+            # open interior, with a tenth of the particles next to each end
+            x = np.linspace(lo, hi, n + 2)[1:-1]
+            x[: n // 10] = lo + (hi - lo) * 1e-3
+            x[-n // 10 :] = hi - (hi - lo) * 1e-3
+            x_in = x.copy()
+            got_diag, want_diag = Diagnostics(), Diagnostics()
+            got, want = x, x.copy()
+            for k in range(8):
+                keys = keys_for(n, seed=21, step=k, ids=np.arange(3, 3 * n + 3, 3))
+                got = model.step(got, 1 / 16, keys, got_diag)
+                want = reference(want, 1 / 16, keys, want_diag)
+                assert got.tobytes() == want.tobytes()
+            assert got_diag == want_diag
+            # the step writes into its own arrays, never into its input
+            assert x.tobytes() == x_in.tobytes()
+            if math.isfinite(model.R):
+                assert got_diag.upper_rejections > 0
+            if model.lower_boundary_behavior == "unattainable":
+                assert got_diag.lower_rejections > 0
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, -2.5])
     @pytest.mark.parametrize("vol, dt", [(1.0, 1 / 16), (0.37, 0.1), (2.9, 1 / 3)])
