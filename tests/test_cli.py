@@ -24,6 +24,9 @@ GOLDEN_OU_SHA = "a7aeab51cfdec69a2d056f4695bb22dbd9b20f1de3039534972b2a864b7d242
 # boundary.csv of config A to a Weibull-1.5 target, whose survival takes its
 # power and exp from libm
 GOLDEN_WEIBULL_SHA = "5f8edd4d4b5702f3292c6e1ac816c473dd53d828547643341c56f0367bb454dc"
+# boundary.csv of config A from a normal initial law (N(0, 0.1^2), positions by
+# inverse normal CDF) to an exponential target
+GOLDEN_NORMAL_SHA = "74eba824e2df9afaf742064498ec2b5e7934c0d50b1277322b5032bd0923f7cd"
 
 CONFIG_A = {
     "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0},
@@ -118,6 +121,17 @@ class TestCalibrateCommand:
         assert rc == 0
         data = (out / "boundary.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == GOLDEN_WEIBULL_SHA
+
+    def test_golden_bytes_config_normal(self, tmp_path):
+        cfg = dict(
+            CONFIG_A,
+            initial={"kind": "normal", "mean": 0.0, "std": 0.1},
+            target={"kind": "exponential", "rate": 1.0},
+        )
+        rc, out = run_calibrate(tmp_path, cfg)
+        assert rc == 0
+        data = (out / "boundary.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_NORMAL_SHA
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         _, out1 = run_calibrate(tmp_path, CONFIG_A, "one", extra=("--threads", "1"))
