@@ -13,10 +13,14 @@ the values are kept as they were.
 """
 
 import json
+import os
 import sys
 
 from ifpt.targets import InverseGaussianHitting
-from ifpt.verify import bm_linear_crossing_mc
+
+# the oracle is a test helper, tests/oracles.py
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from oracles import bm_linear_crossing_mc  # noqa: E402
 
 
 def main():

@@ -24,8 +24,6 @@ from .processes import (
     OneSidedStable,
     Uniqueness,
     classify_levy,
-    levy_char_exponent,
-    scale_transform,
     small_jump_stats,
     step_increments,
 )

@@ -24,7 +24,7 @@ import numpy as np
 from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid
 from .processes import Diagnostics, Levy, check_positions, step_increments
 from .rng import INIT_LABEL, StreamKeys, derive_seed, keyed_uniforms
-from .targets import TargetDistribution
+from .targets import TargetDistribution, ndtri
 
 
 class CalibrationError(ValueError):
@@ -80,10 +80,6 @@ class NormalInitial(InitialDistribution):
             raise ValueError("std must be > 0")
 
     def ppf(self, u):
-        # scipy.special costs about 0.25 s and 25 MiB at import; only the
-        # runs that evaluate a special function load it
-        from scipy.special import ndtri
-
         return self.mean + self.std * ndtri(np.asarray(u, dtype=float))
 
 

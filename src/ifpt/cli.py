@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,39 +104,13 @@ def _echo_model(config: RunConfig) -> dict:
     return {k: config.raw[k] for k in MODEL if k in config.raw}
 
 
-def _scipy_version() -> str | None:
-    """scipy's version, read from the name of the first
-    ``scipy-<version>.dist-info`` directory on sys.path, PyPA's layout of an
-    installed package, without importing scipy (about 0.25 s).  Only where no
-    such directory exists does importlib.metadata answer: it loads email, csv
-    and socket (1.4 MiB, 30 ms) to read the same version."""
-    for entry in sys.path:
-        try:
-            names = os.listdir(entry or ".")
-        except OSError:
-            continue
-        for name in names:
-            if name.startswith("scipy-") and name.endswith(".dist-info"):
-                return name[len("scipy-") : -len(".dist-info")]
-    from importlib import metadata
-
-    try:
-        return metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        return None
-
-
-@lru_cache(maxsize=1)
-def _versions() -> dict:
-    # ifpt and numpy are the copies that run
-    return {"ifpt": __version__, "numpy": np.__version__, "scipy": _scipy_version()}
-
-
 def _provenance(config: RunConfig) -> dict:
-    """The package versions and the SHA-256 of the canonical config: the parsed
-    document dumped with sorted keys and no whitespace."""
+    """The versions of ifpt and numpy, its one runtime dependency, and the
+    SHA-256 of the canonical config: the parsed document dumped with sorted
+    keys and no whitespace."""
     canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
-    return {"versions": _versions(), "config_sha256": sha256(canonical.encode()).hexdigest()}
+    versions = {"ifpt": __version__, "numpy": np.__version__}
+    return {"versions": versions, "config_sha256": sha256(canonical.encode()).hexdigest()}
 
 
 def _set_heap_thresholds() -> None:

@@ -27,29 +27,12 @@ import numpy as np
 from .rng import _CHUNK, MAX_SIZE, StreamKeys
 from .targets import _libm
 
-QUAD_REL_TOL = 1e-8
-SCALE_ABS_TOL = 1e-10
 # points of the log-spaced table that inverts a tempered component's jump tail
 TAIL_TABLE_SIZE = 4096
 
 
 class StateSpaceError(ValueError):
     """A position left the model's state space."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach its tolerance."""
-
-
-def _quad(f, a, b) -> float:
-    # scipy.integrate (and the scipy.optimize/linalg/sparse tree it loads)
-    # costs about 0.3 s and 25 MiB at import, and no CLI command integrates
-    from scipy.integrate import quad
-
-    val, err = quad(f, a, b, epsabs=1e-13, epsrel=QUAD_REL_TOL, limit=400)
-    if err > 100 * max(1e-12, QUAD_REL_TOL * abs(val)):
-        raise QuadratureError(f"quadrature residual {err:g} for value {val:g}")
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +163,6 @@ class FiniteAtoms:
     def small_var(self, eta: float) -> float:
         return sum(x * x * r for x, r in self.atoms if abs(x) < eta)
 
-    def char_integral(self, theta: float) -> complex:
-        out = 0j
-        for x, r in self.atoms:
-            comp = 1.0 - np.exp(1j * theta * x)
-            if abs(x) < 1.0:
-                comp += 1j * theta * x
-            out += r * comp
-        return complex(out)
-
     def tail_ppf(self, eta: float):
         tail = [(x, r) for x, r in self.atoms if abs(x) >= eta]
         sizes = np.array([x for x, _ in tail])
@@ -267,20 +241,6 @@ class OneSidedStable:
         lower = _gamma_tails(2.0 - a, np.array([lam * eta]))[0]
         return c * lam ** (a - 2.0) * math.gamma(2.0 - a) * float(lower[0])
 
-    def char_integral(self, theta: float) -> complex:
-        # computed on jump magnitudes; mirroring the support flips the
-        # imaginary part only (the real part is even in x)
-        c, a, lam = self.intensity, self.alpha, self.tempering
-
-        def dens(m):
-            return c * m ** (-1.0 - a) * math.exp(-lam * m)
-
-        re = _quad(lambda m: (1.0 - math.cos(theta * m)) * dens(m), 0.0, 1.0)
-        re += _quad(lambda m: (1.0 - math.cos(theta * m)) * dens(m), 1.0, np.inf)
-        im = _quad(lambda m: (theta * m - math.sin(theta * m)) * dens(m), 0.0, 1.0)
-        im += _quad(lambda m: -math.sin(theta * m) * dens(m), 1.0, np.inf)
-        return complex(re, self.sign * im)
-
     def tail_ppf(self, eta: float):
         """Inverse CDF of the normalized magnitude tail: in closed form without
         tempering, else through a log-spaced table."""
@@ -332,9 +292,6 @@ class LevyMeasureSpec:
     def small_var(self, eta):
         return sum(c.small_var(eta) for c in self.components)
 
-    def char_integral(self, theta):
-        return sum((c.char_integral(theta) for c in self.components), 0j)
-
 
 @dataclass(frozen=True)
 class LevyTriple:
@@ -358,13 +315,6 @@ def small_jump_stats(measure: LevyMeasureSpec, eta: float) -> tuple[float, float
         float(measure.mean_trunc(eta)),
         float(measure.small_var(eta)),
     )
-
-
-def levy_char_exponent(triple: LevyTriple, theta: float) -> complex:
-    """psi(theta) with the drift sign as printed; psi(0) = 0."""
-    psi = 1j * theta * triple.a + 0.5 * triple.sigma2 * theta**2
-    psi += triple.levy_measure.char_integral(theta)
-    return complex(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -751,21 +701,3 @@ def poisson_jumps(lam: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cdf = _poisson_cdf(lam)
     jumping = np.flatnonzero(u > cdf[0])
     return jumping, np.searchsorted(cdf, u[jumping])
-
-
-def scale_transform(model: IntervalDiffusion, x: float, c: float) -> float:
-    """f(x) = integral from c to x of 1/sigma, strictly increasing in x."""
-    L, R = model.state_bounds
-    if not (L < c < R):
-        raise ValueError("c must lie in (L, R)")
-    if not (L < x < R):
-        raise ValueError("x must lie in (L, R)")
-    if x == c:
-        return 0.0
-    from scipy.integrate import quad  # see _quad
-
-    val, err = quad(lambda z: 1.0 / float(model.sigma(z)), c, x, epsabs=SCALE_ABS_TOL, limit=400)
-    # quad's estimate is conservative; only genuine non-convergence raises
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise QuadratureError(f"scale transform residual {err:g}")
-    return float(val)

@@ -70,6 +70,42 @@ _U = (
 )
 _ISPI = 0.56418958354775628694807945156  # 1 / sqrt(pi)
 
+# The Cephes ndtri.c that scipy.special.ndtri runs: for exp(-2) < y <= 1 - exp(-2),
+# x = sqrt(2 pi) (c + c c^2 P0(c^2) / Q0(c^2)) with c = y - 1/2; on each tail,
+# with r = sqrt(-2 log y) for the nearer end y, x = r - log(r) / r minus
+# P1(1/r) / (r Q1(1/r)) below r = 8 (y > exp(-32)) and the same in P2, Q2 above.
+_EXPM2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
 
 def _polevl(x, coef):
     ans = coef[0]
@@ -143,6 +179,34 @@ def ndtr(x):
     # for |x| > 1.3e154, and a NaN argument compares unordered
     with np.errstate(over="ignore", invalid="ignore"):
         return _libm(_ndtr, x)
+
+
+def ndtri(y):
+    """Inverse of the standard normal CDF, bit for bit scipy.special.ndtri:
+    -inf at 0, inf at 1 and NaN outside [0, 1].
+
+    numpy does the + - * / and the correctly rounded sqrt; each log is libm's,
+    taken only on the tails.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    out = np.full(flat.shape, math.nan)
+    out[flat == 0.0] = -math.inf
+    out[flat == 1.0] = math.inf
+    upper = flat > 1.0 - _EXPM2
+    # the distance to the nearer end, exact above 1 - exp(-2); NaN stays NaN
+    near = np.where(upper, 1.0 - flat, flat)
+    mid = near > _EXPM2
+    c = near[mid] - 0.5
+    c2 = c * c
+    out[mid] = (c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))) * _S2PI
+    tail = (near > 0.0) & (near <= _EXPM2)
+    r = np.sqrt(-2.0 * _libm(math.log, near[tail]))
+    z = 1.0 / r
+    fit = np.where(r < 8.0, z * _polevl(z, _P1) / _p1evl(z, _Q1), z * _polevl(z, _P2) / _p1evl(z, _Q2))
+    x = r - _libm(math.log, r) / r - fit
+    out[tail] = np.where(upper[tail], x, -x)
+    return out.reshape(y.shape)[()]
 
 
 def erfcx(x):

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryCurve, BoundaryEstimate, TimeGrid
-from .calibrate import InitialDistribution, PointInitial, evolve
+from .calibrate import InitialDistribution, evolve
 from .orders import OrderReport
-from .processes import BrownianDrift
 # perfbench/tracer.py patches this name; it goes when the benchmark is next revised
 from .processes import step_increments  # noqa: F401
 from .targets import TargetDistribution
@@ -106,31 +105,3 @@ def compare_boundaries(b1: BoundaryEstimate, b2: BoundaryEstimate, slack: float 
     with np.errstate(invalid="ignore"):
         margin = v1 - (v2 + slack)
     return OrderReport.worst(np.where(np.isnan(margin), 0.0, margin), g1.points, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Path oracle for Brownian motion crossing a line
-
-
-def bm_linear_crossing_mc(
-    c: float,
-    gamma: float,
-    ts,
-    n_paths: int,
-    dt: float,
-    seed: int,
-) -> np.ndarray:
-    """Brute-force crossing probabilities of c + gamma*s, checked every dt.
-
-    Runs n_paths standard Brownian paths from 0 through ``forward_fpt`` on
-    the grid dt, 2 dt, ... up to max(ts), and returns for each t the
-    fraction that crossed by the first grid time >= t: a check of the
-    ``InverseGaussianHitting(c, gamma)`` law up to discrete monitoring.
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    grid = TimeGrid(dt, dt, int(round(float(ts.max()) / dt)))
-    curve = BoundaryCurve(grid, c + gamma * grid.points)
-    times = np.sort(forward_fpt(BrownianDrift(0, 1), PointInitial(0.0), curve, n_paths, seed).times)
-    # the 1e-12 keeps a t that sits on a grid time from rounding past it
-    at = grid.points[np.minimum(np.searchsorted(grid.points, ts - 1e-12), len(grid) - 1)]
-    return np.searchsorted(times, at, side="right") / n_paths

@@ -36,7 +36,6 @@ from ifpt.processes import (
     OU,
     Uniqueness,
     classify_levy,
-    levy_char_exponent,
     step_increments,
 )
 from ifpt.rng import StreamKeys
@@ -51,6 +50,7 @@ from ifpt.verify import (
     forward_fpt,
     ks_statistic,
 )
+from oracles import levy_char_exponent
 
 INF = math.inf
 
@@ -319,7 +319,8 @@ def test_criterion_11_diffusion_stepper_fidelity():
     xs = np.sort(x)
     ks = float(np.max(np.abs(np.arange(1, n + 1) / n - ndtr((xs - mean) / math.sqrt(var)))))
 
-    from ifpt.processes import BesselDrift, Linear, Power, scale_transform
+    from ifpt.processes import BesselDrift, Linear, Power
+    from oracles import scale_transform
 
     cases = [
         (Constant(2.0), (-3.0, 3.0)),

@@ -744,9 +744,7 @@ class TestProvenance:
     }
 
     def test_every_report_records_the_versions_and_the_canonical_config_hash(self, tmp_path, capsys):
-        from importlib import metadata
-
-        versions = {"ifpt": ifpt.__version__, "numpy": np.__version__, "scipy": metadata.version("scipy")}
+        versions = {"ifpt": ifpt.__version__, "numpy": np.__version__}
         calibrate = dict(CONFIG_B, particles=200)
         csv = tmp_path / "calibrate" / "boundary.csv"
         check = {"boundary_csv": str(csv), "samples": 200, "seed": 2, "tolerance": 1.0}

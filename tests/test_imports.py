@@ -1,19 +1,17 @@
-"""CLI runs load no more of scipy than they evaluate, and no OpenSSL or
-importlib.metadata for the report.
+"""No run imports scipy: numpy is ifpt's one runtime dependency.
 
-scipy.integrate, with the scipy.optimize/linalg/sparse tree it loads, costs
-about 0.3 s and 25 MiB per process, and no CLI command integrates: only the
-quadrature helpers import it, when called.  scipy.special costs about
-0.25 s and 25 MiB; only normal initial laws evaluate one of its functions
-(ndtri).  The Brownian hitting laws and the Lévy measure evaluate theirs
-in-house, so Brownian motion, a Lévy process or the OU diffusion from a
-point or a uniform law, to any target law, loads no scipy module at all,
-and no run loads numpy.random.  Each report hashes its config with
-CPython's own SHA-256, not hashlib (OpenSSL, 3.5 MiB), and reads scipy's
-version from its dist-info directory's name, not through
-importlib.metadata (email, csv and socket, 1.4 MiB).  The checks run in a
-fresh interpreter, because other test modules import scipy, hashlib and
-importlib.metadata themselves.
+Every special function a run evaluates is in-house: the normal CDF and its
+inverse (the hitting-law targets and a normal initial law), erfcx (a
+downward line), and the Lévy measure's incomplete gamma tails and Poisson
+table.  The quadrature oracles live in tests/oracles.py, where scipy is a
+test dependency.  Each config below runs calibrate, then verify, in a fresh
+interpreter whose first import finder refuses scipy, as on an install
+without it; the report records the versions of ifpt and numpy only.  The
+same run also lists numpy.random, which no run needs (every draw is keyed),
+and hashlib, importlib.metadata and email, which the report does not need:
+it hashes its config with CPython's own SHA-256, not OpenSSL's.  Other test
+modules import scipy, hashlib and importlib.metadata themselves, so the
+runs cannot share this interpreter.
 """
 
 import json
@@ -26,63 +24,27 @@ import numpy as np
 import pytest
 
 import ifpt
-from ifpt import cli
 
 SRC = os.path.dirname(os.path.dirname(ifpt.__file__))
 
-SCRIPT = textwrap.dedent(
-    """
-    import json, math, os, sys
-
-    from ifpt import cli
-    scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-    assert not scipy, f"import ifpt.cli: {scipy[:5]} loaded"
-
-    # the Brownian hitting law evaluates its normal CDF in-house
-    cfg = {
-        "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0}, "initial": {"kind": "point", "x": 0.0},
-        "target": {"kind": "levy_hitting", "c": 1.0}, "grid": {"t_start": 0.0625, "dt": 0.0625, "steps": 16},
-        "particles": 500, "seed": 1,
-    }
-    path, out = os.path.join(sys.argv[1], "brownian.json"), os.path.join(sys.argv[1], "out")
-    with open(path, "w") as f:
-        json.dump(cfg, f)
-    assert cli.main(["calibrate", "-c", path, "-o", out]) == 0
-    assert os.path.isfile(os.path.join(out, "boundary.csv"))
-    scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-    assert not scipy, f"levy_hitting calibrate: {scipy[:5]} loaded"
-
-    from scipy.special import gamma, gammainc
-    from ifpt.processes import (
-        Constant, IntervalDiffusion, LevyMeasureSpec, LevyTriple, OneSidedStable, Power,
-        levy_char_exponent, scale_transform,
-    )
-
-    # tempered stable (alpha, c, lam): psi = -c Gamma(-alpha) ((lam - i theta)^alpha - lam^alpha)
-    # plus the compensator i theta c int_0^1 x^-alpha e^(-lam x) dx
-    alpha, c, lam, theta = 0.5, 0.5, 1.0, 0.7
-    triple = LevyTriple(0.0, 0.0, LevyMeasureSpec((OneSidedStable("+", alpha, c, lam),)))
-    want = -c * gamma(-alpha) * ((lam - 1j * theta) ** alpha - lam**alpha)
-    want += 1j * theta * c * lam ** (alpha - 1) * gamma(1 - alpha) * gammainc(1 - alpha, lam)
-    got = levy_char_exponent(triple, theta)
-    assert abs(got - want) <= 1e-9 * abs(want), (got, want)
-
-    # sigma(x) = x: the scale function from 1 is log x
-    model = IntervalDiffusion(beta=Constant(0.0), sigma=Power(1.0, 1.0), L=0.0, R=math.inf)
-    got = scale_transform(model, math.e, 1.0)
-    assert abs(got - 1.0) <= 1e-10, got
-    assert "scipy.integrate" in sys.modules
-    print("ok")
-    """
-)
-
-
-# calibrate, then verify the written boundary, then list the scipy modules
-# loaded, and numpy.random, which no run needs: every draw is keyed; and
-# hashlib, importlib.metadata and email, which the report does not need
+# calibrate, then verify the written boundary, with scipy refused; print the
+# refused imports, the report's versions and the listed modules that loaded
 ROUND_TRIP = textwrap.dedent(
     """
     import json, os, sys
+
+
+    class RefuseScipy:
+        refused = []
+
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                self.refused.append(name)
+                raise ModuleNotFoundError(f"scipy is refused: {name}", name=name)
+            return None
+
+
+    sys.meta_path.insert(0, RefuseScipy())
     from ifpt import cli
 
     work, cfg = sys.argv[1], json.loads(sys.argv[2])
@@ -97,12 +59,12 @@ ROUND_TRIP = textwrap.dedent(
     assert cli.main(["verify", "-c", path, "-o", out]) == 0
     with open(os.path.join(out, "report.json")) as f:
         report = json.load(f)
-    assert report["versions"]["scipy"] and report["config_sha256"]
     report_modules = {"hashlib", "_hashlib", "importlib.metadata"}
-    print(json.dumps(sorted(
+    modules = sorted(
         m for m in sys.modules
         if m.split(".")[0] in ("scipy", "email") or m.startswith("numpy.random") or m in report_modules
-    )))
+    )
+    print(json.dumps({"refused": RefuseScipy.refused, "versions": report["versions"], "modules": modules}))
     """
 )
 
@@ -152,6 +114,12 @@ ROUND_TRIPS = {
         "initial": {"kind": "uniform", "a": 0.5, "b": 1.5},
         "target": {"kind": "exponential", "rate": 2.0},
     },
+    # initial positions by the inverse normal CDF (ndtri)
+    "normal": {
+        "process": BROWNIAN,
+        "initial": {"kind": "normal", "mean": 0.0, "std": 0.1},
+        "target": {"kind": "exponential", "rate": 1.0},
+    },
 }
 
 
@@ -162,53 +130,8 @@ def run_fresh(script, *args):
     return proc.stdout.splitlines()[-1]
 
 
-def test_commands_do_not_import_scipy_integrate(tmp_path):
-    assert run_fresh(SCRIPT, str(tmp_path)) == "ok"
-
-
 @pytest.mark.parametrize("name", ROUND_TRIPS)
 def test_round_trip_loads_no_scipy(tmp_path, name):
     cfg = dict(ROUND_TRIPS[name], grid=GRID, particles=500, seed=1)
-    assert json.loads(run_fresh(ROUND_TRIP, str(tmp_path), json.dumps(cfg))) == []
-
-
-@pytest.fixture
-def fresh_versions():
-    # _versions caches its answer for the process: clear it around the test
-    cli._versions.cache_clear()
-    yield cli._versions
-    cli._versions.cache_clear()
-
-
-def dist_info(directory, name, version):
-    info = directory / f"{name}-{version}.dist-info"
-    info.mkdir()
-    (info / "METADATA").write_text(f"Metadata-Version: 2.1\nName: {name}\nVersion: {version}\n")
-
-
-def test_versions_reads_the_first_scipy_dist_info_name(tmp_path, monkeypatch, fresh_versions):
-    from importlib import metadata
-
-    first, second = tmp_path / "first", tmp_path / "second"
-    first.mkdir()
-    second.mkdir()
-    dist_info(first, "numpy", "9.0.0")
-    dist_info(first, "scipy", "1.2.3")
-    dist_info(second, "scipy", "4.5.6")
-    monkeypatch.setattr(sys, "path", [str(tmp_path / "missing"), str(first), str(second)])
-    assert fresh_versions()["scipy"] == metadata.version("scipy") == "1.2.3"
-
-
-def test_versions_without_a_scipy_dist_info_asks_importlib_metadata(tmp_path, monkeypatch, fresh_versions):
-    from importlib import metadata
-
-    # a legacy egg-info, which importlib.metadata reads and the name scan skips
-    (tmp_path / "scipy-7.8.9.egg-info").write_text("Metadata-Version: 1.0\nName: scipy\nVersion: 7.8.9\n")
-    monkeypatch.setattr(sys, "path", [str(tmp_path)])
-    assert fresh_versions()["scipy"] == metadata.version("scipy") == "7.8.9"
-
-
-def test_versions_without_scipy_is_none(tmp_path, monkeypatch, fresh_versions):
-    dist_info(tmp_path, "numpy", "9.0.0")
-    monkeypatch.setattr(sys, "path", [str(tmp_path)])
-    assert fresh_versions() == {"ifpt": ifpt.__version__, "numpy": np.__version__, "scipy": None}
+    run = json.loads(run_fresh(ROUND_TRIP, str(tmp_path), json.dumps(cfg)))
+    assert run == {"refused": [], "versions": {"ifpt": ifpt.__version__, "numpy": np.__version__}, "modules": []}

@@ -24,8 +24,6 @@ from ifpt.processes import (
     Uniqueness,
     classify_levy,
     Diagnostics,
-    levy_char_exponent,
-    scale_transform,
     small_jump_stats,
     step_increments,
     upper_incomplete_gamma,
@@ -33,6 +31,7 @@ from ifpt.processes import (
     _gamma_tails,
 )
 from ifpt.rng import StreamKeys
+from oracles import levy_char_exponent, scale_transform
 
 
 def keys_for(n, seed=0, step=0, ids=None):

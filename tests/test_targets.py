@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erfcx, ndtr
+from scipy.special import erfcx, ndtr, ndtri
 
 from ifpt import targets
 from ifpt.targets import (
@@ -217,6 +217,24 @@ NDTR_POINTS = np.concatenate(
     )
 )
 
+# inverse normal CDF: uniform draws, log-uniform ones down to e^-700, values near
+# 1, a dyadic grid, and both branch switches with their neighbours: the central
+# fit ends at y = exp(-2) and 1 - exp(-2), and the tail fits switch at
+# sqrt(-2 log y) = 8, y = exp(-32); keyed uniforms reach 2^-53 and 1 - 2^-53
+EDGES = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0), 2.0**-53, 1.0 - 2.0**-53]
+NDTRI_POINTS = np.concatenate(
+    (
+        np.random.default_rng(20260809).random(200_000),
+        np.exp(-np.linspace(0.0, 700.0, 100_000)),
+        1.0 - np.geomspace(2.0**-53, 0.2, 30_000),
+        np.arange(1, 2**15) / 2**15,
+        np.geomspace(math.exp(-32.0) / 1.01, math.exp(-32.0) * 1.01, 2_001),
+        [np.nextafter(y, d) for y in EDGES for d in (0.0, 1.0)],
+        EDGES,
+        [0.5, 5e-324],
+    )
+)
+
 
 def assert_bits_equal(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
@@ -226,7 +244,7 @@ def assert_bits_equal(got, want):
 
 
 class TestSpecialFunctions:
-    """The in-house normal CDF and scaled erfc, held to scipy.special."""
+    """The in-house normal CDF, its inverse and scaled erfc, held to scipy.special."""
 
     def test_ndtr_is_scipy_bit_for_bit(self):
         assert NDTR_POINTS.size == 500_001
@@ -238,6 +256,26 @@ class TestSpecialFunctions:
     def test_ndtr_at_any_double(self, xs):
         # NaN in, NaN out, and no warning where scipy gives none
         assert_bits_equal(targets.ndtr(np.array(xs)), ndtr(np.array(xs)))
+
+    def test_ndtri_is_scipy_bit_for_bit(self):
+        # both tail fits run: some points lie on each side of sqrt(-2 log y) = 8
+        r = np.sqrt(-2.0 * np.log(NDTRI_POINTS[NDTRI_POINTS <= math.exp(-2.0)]))
+        assert np.any(r < 8.0) and np.any(r >= 8.0)
+        assert_bits_equal(targets.ndtri(NDTRI_POINTS), ndtri(NDTRI_POINTS))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True),
+                    min_size=1, max_size=64))
+    def test_ndtri_in_the_open_unit_interval(self, ys):
+        assert_bits_equal(targets.ndtri(np.array(ys)), ndtri(np.array(ys)))
+
+    def test_ndtri_at_the_edges(self):
+        # no warning: NaN and values outside [0, 1] give NaN quietly, as from scipy
+        ys = np.array([0.0, -0.0, 1.0, math.nan, -5e-324, -1.0, np.nextafter(1.0, 2.0), 2.0, math.inf, -math.inf])
+        want = [-math.inf, -math.inf, math.inf] + [math.nan] * 7
+        assert_bits_equal(targets.ndtri(ys), want)
+        assert_bits_equal(targets.ndtri(ys), ndtri(ys))
+        assert targets.ndtri(0.5) == 0.0 and np.ndim(targets.ndtri(0.5)) == 0
 
     @settings(max_examples=300)
     @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=64))

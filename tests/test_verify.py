@@ -12,11 +12,11 @@ from ifpt.targets import Exponential, InverseGaussianHitting, LevyHittingLaw, Po
 from ifpt.verify import (
     FptSample,
     GridMismatchError,
-    bm_linear_crossing_mc,
     compare_boundaries,
     forward_fpt,
     ks_statistic,
 )
+from oracles import bm_linear_crossing_mc
 
 INF = math.inf
 
