@@ -341,6 +341,15 @@ class TestCharExponent:
         assert got.real == pytest.approx(re, rel=1e-7)
         assert got.imag == pytest.approx(im, rel=1e-7)
 
+    def test_tempered_stable_closed_form(self):
+        # psi = -c Gamma(-alpha) ((lam - i theta)^alpha - lam^alpha), plus the
+        # compensator i theta c int_0^1 x^-alpha e^(-lam x) dx
+        alpha, c, lam, th = 0.5, 0.5, 1.0, 0.7
+        t = LevyTriple(0.0, 0.0, measure(OneSidedStable("+", alpha, c, lam)))
+        want = -c * gamma(-alpha) * ((lam - 1j * th) ** alpha - lam**alpha)
+        want += 1j * th * c * lam ** (alpha - 1) * gamma(1 - alpha) * gammainc(1 - alpha, lam)
+        assert abs(levy_char_exponent(t, th) - want) <= 1e-9 * abs(want)
+
 
 class TestSmallJumpStats:
     def test_atom_above_eta(self):

@@ -221,7 +221,7 @@ NDTR_POINTS = np.concatenate(
 # 1, a dyadic grid, and both branch switches with their neighbours: the central
 # fit ends at y = exp(-2) and 1 - exp(-2), and the tail fits switch at
 # sqrt(-2 log y) = 8, y = exp(-32); keyed uniforms reach 2^-53 and 1 - 2^-53
-EDGES = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0), 2.0**-53, 1.0 - 2.0**-53]
+NDTRI_EDGES = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0), 2.0**-53, 1.0 - 2.0**-53]
 NDTRI_POINTS = np.concatenate(
     (
         np.random.default_rng(20260809).random(200_000),
@@ -229,8 +229,8 @@ NDTRI_POINTS = np.concatenate(
         1.0 - np.geomspace(2.0**-53, 0.2, 30_000),
         np.arange(1, 2**15) / 2**15,
         np.geomspace(math.exp(-32.0) / 1.01, math.exp(-32.0) * 1.01, 2_001),
-        [np.nextafter(y, d) for y in EDGES for d in (0.0, 1.0)],
-        EDGES,
+        [np.nextafter(y, d) for y in NDTRI_EDGES for d in (0.0, 1.0)],
+        NDTRI_EDGES,
         [0.5, 5e-324],
     )
 )
