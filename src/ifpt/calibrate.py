@@ -167,8 +167,12 @@ def evolve(model, initial: InitialDistribution, grid: TimeGrid, n: int, seed: in
     Yields ``(k, t, ensemble)`` after step k; the caller kills through
     ``ensemble.remove`` before the next step is drawn.
     """
-    # no local name holds the start positions: they go once step 0 replaces ens.x
-    ens = Ensemble(ids=np.arange(n), x=np.asarray(initial.sample(n, seed), dtype=float))
+    # ids in the narrowest unsigned type that holds n - 1 (4 bytes up to 2^32
+    # paths), and no local name holds the start positions: they go once step
+    # 0 replaces ens.x
+    ens = Ensemble(
+        ids=np.arange(n, dtype=np.min_scalar_type(n - 1)), x=np.asarray(initial.sample(n, seed), dtype=float)
+    )
     check_positions(model, ens.x, "initial sampler")
     prev_t = 0.0
     for k, t in enumerate(grid.points):

@@ -103,19 +103,68 @@ def _exp1(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _small_s_upper_gamma(s: float, z: np.ndarray) -> np.ndarray:
+    """Gamma(s, z) for 0 < s < 1/4 and a 1-D array z > 0, with no 1 - P(s, z),
+    which cancels there: z^s e^-z times the continued fraction from X = s + 1
+    up, and below X, Gamma(s, X) plus the integral of t^(s-1) e^-t over
+    [z, X], termwise (X^(s+n) - z^(s+n)) (-1)^n / (n! (s + n)).  The n = 0
+    term is -X^s expm1(s log(z / X)) / s, and the rest is X^s S(X) - z^s S(z)
+    with S(y) = sum over n >= 1 of (-y)^n / (n! (s + n))."""
+    top = s + 1.0
+    out = np.empty(len(z))
+    hi = z >= top
+    out[hi] = _libm(lambda v: math.exp(s * math.log(v) - v), z[hi]) * _gamma_fraction(s, z[hi])
+    lo = z[~hi]
+    if len(lo):
+
+        def tail_sum(y):
+            return _series(y, -y / (1.0 + s), lambda n, y: -y * (s + n) / ((n + 1) * (s + n + 1)))
+
+        top_s = math.pow(top, s)
+        at_top = math.exp(s * math.log(top) - top) * float(_gamma_fraction(s, np.array([top]))[0])
+        first = _libm(lambda v: -top_s * math.expm1(s * math.log(v / top)) / s, lo)
+        lo_s = _libm(lambda v: math.pow(v, s), lo)
+        out[~hi] = at_top + first + top_s * float(tail_sum(np.array([top]))[0]) - lo_s * tail_sum(lo)
+    return out
+
+
 def upper_incomplete_gamma(s: float, z):
     """Gamma(s, z) for s > -2 and z > 0, a float or a 1-D array; below s = 0
     by the upward recurrence Gamma(s, z) = (Gamma(s + 1, z) - z^s e^-z) / s."""
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.all(zs > 0):
         raise ValueError("z must be > 0")
-    if s > 0:
+    if 0 < s < 0.25:
+        out = _small_s_upper_gamma(s, zs)
+    elif s > 0:
         out = math.gamma(s) * _gamma_tails(s, zs)[1]
     elif s == 0.0:
         out = _exp1(zs)
     else:
         out = (upper_incomplete_gamma(s + 1.0, zs) - _libm(lambda v: math.pow(v, s) * math.exp(-v), zs)) / s
     return out if np.ndim(z) else float(out[0])
+
+
+def _near_one_integral(a: float, r: float, h: float) -> float:
+    """The integral of (1 - w/v)^-a e^w over [0, h], for h = r v, 0 <= r <= 1/2
+    and a >= 0: e^v v^a times that of t^-a e^-t over [v - h, v].
+
+    It is expm1(h) plus the integral of ((1 - w/v)^-a - 1) e^w, summed from
+    the Cauchy product of the two Taylor series, whose terms are all
+    positive: B_j = (a)_j r^j / j! and E_k = h^k / k! for the scaled powers
+    of w, and term n is h sum over j + k = n, j >= 1 of B_j E_k / (n + 1).
+    At a = 0 only expm1(h) is left.
+    """
+    b, e, terms = [1.0], [1.0], []
+    n = 0
+    while True:
+        n += 1
+        b.append(b[-1] * (a + n - 1) * r / n)
+        e.append(e[-1] * h / n)
+        term = h * math.fsum(b[j] * e[n - j] for j in range(1, n + 1)) / (n + 1)
+        terms.append(term)
+        if term <= _EPS / 4 * math.fsum(terms) and n > h:
+            return math.expm1(h) + math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +277,9 @@ class OneSidedStable:
             mean = c * math.log(1.0 / eta)
         elif lam == 0.0:
             mean = c * (1.0 - eta ** (1.0 - a)) / (1.0 - a)
+        elif eta >= 0.5 and lam * (1.0 - eta) <= 1.0:
+            # the two upper gammas below would nearly cancel
+            mean = c / lam * math.exp(-lam) * _near_one_integral(a, 1.0 - eta, lam * (1.0 - eta))
         else:
             mean = c * lam ** (a - 1.0) * (
                 upper_incomplete_gamma(1.0 - a, lam * eta) - upper_incomplete_gamma(1.0 - a, lam)

@@ -34,6 +34,9 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the Weyl increment as a uint64 scalar: an id array of a narrower unsigned
+# type times it is uint64, where numpy refuses the Python int
+_GOLDEN64 = np.uint64(_GOLDEN)
 _ONE_BITS = 0x3FF0000000000000  # IEEE-754 bits of 1.0
 _TWO_BITS = 0x4000000000000000  # IEEE-754 bits of 2.0
 # ids hashed per pass, so the temporaries stay in cache; on a 2-vCPU x86-64
@@ -104,7 +107,11 @@ def _start(key: int, offset: int) -> int:
 
 
 def _id_words(ids) -> np.ndarray:
-    """ids as uint64 words, without a copy for an int64 array."""
+    """ids as unsigned words, without a copy for an unsigned or int64 array:
+    ids * _GOLDEN64 is then the uint64 id * G mod 2^64 of every id."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind == "u":
+        return ids
     return np.asarray(ids, dtype=np.int64).view(np.uint64)
 
 
@@ -144,7 +151,7 @@ def keyed_uniforms(key: int, ids: np.ndarray) -> np.ndarray:
     start = _start(key, 1)
     for a in range(0, len(w), _CHUNK):
         z = bits[a : a + _CHUNK]
-        np.multiply(w[a : a + _CHUNK], _GOLDEN, out=z)
+        np.multiply(w[a : a + _CHUNK], _GOLDEN64, out=z)
         z += start
         _mix(z, tmp[: len(z)])
         _to_uniforms(z)
@@ -211,7 +218,7 @@ def _normal_rows(keys, ids: np.ndarray, out: np.ndarray) -> None:
         for a in range(0, n, _CHUNK):
             c = min(_CHUNK, n - a)
             z = bits[j * n + a : j * n + a + c]
-            np.multiply(w[a : a + c], _GOLDEN, out=z)
+            np.multiply(w[a : a + c], _GOLDEN64, out=z)
             z += start
             _mix(z, t[:c])
             _ziggurat(z, layer[:c], gather[:c], t[:c].view(np.float64), reject[:c])
@@ -224,8 +231,8 @@ def _normal_rows(keys, ids: np.ndarray, out: np.ndarray) -> None:
     lay = np.concatenate(lay)
     # each open draw's Weyl position minus its offset, id * G + key; the
     # offset of (attempt, part) is added in the round
-    base = w[pos % n]
-    base *= _GOLDEN
+    base = w[pos % n].astype(np.uint64, copy=False)
+    base *= _GOLDEN64
     base += np.repeat(np.array(keys, dtype=np.uint64), counts)
     attempt = 1
     while len(pos):
@@ -297,8 +304,9 @@ def _tail(out, pos, a, b) -> np.ndarray:
 class StreamKeys:
     """Per-particle RNG keys for one calibration or verification step.
 
-    ``ids`` are the particles being advanced; every draw has one entry per
-    id.  ``n_total`` is the ensemble size; draws never depend on it.
+    ``ids`` are the particles being advanced, an array of any unsigned
+    integer type or int64; every draw has one entry per id.  ``n_total``
+    is the ensemble size; draws never depend on it.
     """
 
     seed: int

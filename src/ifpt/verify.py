@@ -73,9 +73,13 @@ def ks_statistic(sample: FptSample, target: TargetDistribution) -> tuple[float, 
     n = len(sample.times)
     if n == 0:
         raise ValueError("sample must be nonempty")
-    finite = np.sort(sample.times[np.isfinite(sample.times)])
     ts = sample.grid.points
-    emp = np.searchsorted(finite, ts, side="right") / n
+    # time t counts at every grid point from the first ts[i] >= t on: cell i
+    # of the ascending grid, or cell len(ts) past it, where the non-finite
+    # times go too; the counts need no sorted copy of the sample
+    cell = np.searchsorted(ts, sample.times)
+    cell[~np.isfinite(sample.times)] = len(ts)
+    emp = np.cumsum(np.bincount(cell, minlength=len(ts) + 1)[:-1]) / n
     cdf = 1.0 - np.asarray(target.survival(ts), dtype=float)
     gap = np.abs(emp - cdf)
     i = int(np.argmax(gap))

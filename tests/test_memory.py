@@ -124,6 +124,17 @@ def test_ou_step_holds_its_normal_block_and_one_result():
     assert 4 * 8 <= bytes_per_path(step_peak(model, 1 / 32), 1 << 17) < 5.5 * 8
 
 
+def test_a_brownian_step_holds_narrow_ids_positions_and_normals():
+    # 4-byte ids, the positions and the step's normals, plus about 1.5 bytes of
+    # slow-path draws per path; int64 ids take it to 25.5
+    grid = TimeGrid(1 / 256, 1 / 256, 4)
+
+    def peak_at(n):
+        return traced_peak(lambda: [None for _ in evolve(BrownianDrift(0.0, 1.0), PointInitial(0.0), grid, n, 3, None)])
+
+    assert bytes_per_path(peak_at, 1 << 17) < 2 * 8 + 4 + 2
+
+
 def reference_fpt(model, initial, boundary, n, seed):
     """forward_fpt as it was: a float64 record that takes each crossing's t."""
     times = np.full(n, math.inf)
@@ -155,11 +166,11 @@ def test_fpt_times_are_the_reference_loops_bit_for_bit(steps):
 
 
 def test_fpt_peak_is_ids_positions_normals_and_a_narrow_crossing_index():
-    # 3 * 8 bytes of arrays, a 2-byte crossing step and a 1-byte mask per
-    # path; a float64 record of the times would add 6 more
+    # 2 * 8 bytes of floats, 4-byte ids, a 2-byte crossing step and a 1-byte
+    # mask per path; int64 ids or a float64 record of the times would add 4 or 6 more
     curve = BoundaryCurve(TimeGrid(1 / 64, 1 / 64, 1024), np.full(1024, 1.0))
 
     def peak_at(n):
         return traced_peak(lambda: forward_fpt(BrownianDrift(0.0, 1.0), PointInitial(0.0), curve, n, 3))
 
-    assert bytes_per_path(peak_at, 1 << 16) < 3 * 8 + 6
+    assert bytes_per_path(peak_at, 1 << 17) < 2 * 8 + 4 + 6

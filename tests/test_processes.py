@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +131,20 @@ class TestLevyStep:
         model = Levy(LevyTriple(0.0, 1.0, measure()), "gaussian", 0.1)
         with pytest.raises(StateSpaceError):
             step_increments(model, np.array([0.0, math.inf]), 0.1, keys_for(2))
+
+
+# the widths at which evolve's id type widens, and past a chunk of the hash
+@pytest.mark.parametrize("n", [255, 256, 65_536, 65_537])
+def test_steps_with_narrow_ids_are_the_int64_steps(n):
+    # BENCH3's Lévy step (normals, Poisson uniforms, jump rows) and
+    # diffusion-ou's OU step (a normal block over four substeps)
+    levy = Levy(LevyTriple(0.0, 0.25, measure(OneSidedStable("+", 0.5, 0.5, 1.0))), "gaussian", 0.01)
+    ou = IntervalDiffusion(OU(1.0), Constant(1.0), L=0.0, lower_boundary_behavior="reflecting", dt_substeps=4)
+    narrow = keys_for(n, seed=20261022, step=5, ids=np.arange(n, dtype=np.min_scalar_type(n - 1)))
+    wide = keys_for(n, seed=20261022, step=5)
+    x = np.linspace(0.1, 2.0, n)
+    for model, dt in ((levy, 1 / 4), (ou, 1 / 32)):
+        assert model.step(x, dt, narrow, None).tobytes() == model.step(x, dt, wide, None).tobytes()
 
 
 class TestDiffusionStep:
@@ -482,6 +497,29 @@ class TestUpperIncompleteGamma:
             for z in (0.05, 1.0, 3.0):
                 want = quad(lambda t: t ** (s - 1) * math.exp(-t), z, np.inf, limit=300)[0]
                 assert upper_incomplete_gamma(s, z) == pytest.approx(want, rel=1e-9)
+
+
+class TestNearOneAgainstMpmath:
+    """Where 1 - P(s, z) and a difference of upper gammas cancelled."""
+
+    @pytest.mark.parametrize("s", [-0.9, -0.99, -0.999, 0.001, 0.01])
+    def test_upper_incomplete_gamma_for_s_just_above_minus_one_and_zero(self, s):
+        # 1 - P(0.001, z) put 5e-12 on s = -0.999
+        z = np.geomspace(1e-4, 60.0, 300)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.gammainc(s, v)) for v in z.tolist()])
+        np.testing.assert_allclose(upper_incomplete_gamma(s, z), want, rtol=5e-13, atol=0)
+
+    @pytest.mark.parametrize(
+        "comp", [GammaSubordinatorMeasure("-", 1.3, 2.0), OneSidedStable("+", 1.5, 0.2, 0.7)], ids=["gamma", "stable"]
+    )
+    @pytest.mark.parametrize("eta", [0.9, 0.99, 0.999])
+    def test_mean_trunc(self, comp, eta):
+        # the difference of upper gammas was 4e-14 off for the Gamma measure at 0.99
+        c, a, lam = comp.intensity, comp.alpha, comp.tempering
+        with mpmath.workdps(30):
+            want = comp.sign * c * mpmath.quad(lambda x: x ** (-a) * mpmath.exp(-lam * x), [eta, 1])
+        assert comp.mean_trunc(eta) == pytest.approx(float(want), rel=1e-14, abs=0)
 
 
 class TestGammaFunctionsAgainstScipy:

@@ -127,6 +127,37 @@ class TestKeyedDraws:
         assert stats.kstest(z, "norm").pvalue > 1e-3
 
 
+class TestNarrowIds:
+    """Ids of any unsigned type hash to the words of the same int64 ids."""
+
+    # where evolve's id type widens, and past a chunk of the hash
+    @pytest.mark.parametrize("n", [255, 256, 65_536, 65_537])
+    def test_draws_are_the_int64_ids_bit_for_bit(self, n):
+        wide = np.arange(n)
+        for dtype in (np.min_scalar_type(n - 1), np.uint64):
+            narrow = StreamKeys(seed=20261022, step_index=7, ids=wide.astype(dtype), n_total=n)
+            keys = StreamKeys(seed=20261022, step_index=7, ids=wide, n_total=n)
+            assert narrow.uniforms(slot=1, row=2).tobytes() == keys.uniforms(slot=1, row=2).tobytes()
+            assert narrow.normals().tobytes() == keys.normals().tobytes()
+            assert narrow.normal_block(3, slot=1).tobytes() == keys.normal_block(3, slot=1).tobytes()
+
+    def test_a_permuted_subset_across_a_chunk_boundary(self):
+        # 2^15 + 700 uint16 ids in no order, with their slow-path draws
+        ids = np.random.default_rng(3).permutation(65_536)[: _CHUNK + 700]
+        for key in (0x51DE, 0xA11CE):
+            assert keyed_normals(key, ids.astype(np.uint16)).tobytes() == keyed_normals(key, ids).tobytes()
+            assert keyed_uniforms(key, ids.astype(np.uint16)).tobytes() == keyed_uniforms(key, ids).tobytes()
+
+    @settings(max_examples=60)
+    @given(seed=seeds, step=st.integers(0, 2**20), sub=id_subsets())
+    def test_subsets(self, seed, step, sub):
+        n, ids = sub
+        narrow = StreamKeys(seed=seed, step_index=step, ids=ids.astype(np.min_scalar_type(n - 1)), n_total=n)
+        keys = StreamKeys(seed=seed, step_index=step, ids=ids, n_total=n)
+        assert narrow.uniforms(slot=3).tobytes() == keys.uniforms(slot=3).tobytes()
+        assert narrow.normal_block(2).tobytes() == keys.normal_block(2).tobytes()
+
+
 PINNED_NORMALS = [
     "-0x1.10a60003eef29p+1", "0x1.1b5dde72a34bbp+1", "0x1.f7faf0529f8aep-1", "-0x1.ce7097e9d741ep+0",
     "-0x1.3e75bf67dba56p-3", "-0x1.1348f0f84e1cap+1", "0x1.b57105834c916p+0", "-0x1.4c670aaba3fb1p-5",

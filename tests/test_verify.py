@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 from ifpt.boundary import BoundaryCurve, TimeGrid
@@ -90,7 +91,34 @@ class TestInternalConsistency:
         assert np.array_equal(alive_frac, est.survival_achieved)
 
 
+def sorted_ks(sample, target):
+    """ks_statistic as it was: a sorted copy of the finite times, searched at every grid time."""
+    finite = np.sort(sample.times[np.isfinite(sample.times)])
+    ts = sample.grid.points
+    gap = np.abs(np.searchsorted(finite, ts, side="right") / len(sample.times) - (1.0 - target.survival(ts)))
+    i = int(np.argmax(gap))
+    return float(gap[i]), float(ts[i])
+
+
 class TestKsStatistic:
+    @settings(max_examples=200)
+    @given(
+        steps=st.integers(1, 40),
+        times=st.lists(
+            st.one_of(
+                st.integers(1, 45).map(lambda k: k / 8),
+                st.floats(-1.0, 7.0),
+                st.sampled_from([INF, -INF, math.nan]),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+    def test_counts_are_the_sorted_reference(self, steps, times):
+        # on-grid and duplicate times, times off and outside the grid, +-inf and NaN
+        s = FptSample(times=np.array(times), grid=TimeGrid(1 / 8, 1 / 8, steps))
+        assert ks_statistic(s, Exponential(1.0)) == sorted_ks(s, Exponential(1.0))
+
     def test_all_censored_vs_point_mass(self):
         grid = TimeGrid(1.0, 1.0, 2)
         s = FptSample(times=np.full(100, INF), grid=grid)
