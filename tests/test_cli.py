@@ -27,6 +27,10 @@ GOLDEN_WEIBULL_SHA = "5f8edd4d4b5702f3292c6e1ac816c473dd53d828547643341c56f0367b
 # boundary.csv of config A from a normal initial law (N(0, 0.1^2), positions by
 # inverse normal CDF) to an exponential target
 GOLDEN_NORMAL_SHA = "74eba824e2df9afaf742064498ec2b5e7934c0d50b1277322b5032bd0923f7cd"
+# boundary.csv of config LEVY_ATOMS: a nonzero a, two atoms components whose
+# sums cover all three jump constants, a two-component jump mixture, the
+# Poisson table and the Euler part
+GOLDEN_LEVY_ATOMS_SHA = "42efeaeaa1b9bb976f720d0edd8396085f778f5046788eb7faf022ceafd72bad"
 
 CONFIG_A = {
     "process": {"kind": "brownian", "mu": 0.0, "vol": 1.0},
@@ -51,6 +55,25 @@ CONFIG_B = {
     "grid": {"t_start": 0.0625, "dt": 0.0625, "steps": 16},
     "particles": 1000,
     "seed": 3,
+}
+
+CONFIG_LEVY_ATOMS = {
+    "process": {
+        "kind": "levy",
+        "a": 0.1,
+        "sigma2": 0.25,
+        "measure": [
+            {"type": "atoms", "atoms": [[1.0, 2.0], [-0.5, 1.0]]},
+            {"type": "atoms", "atoms": [[0.005, 3.0], [0.3, 1.5], [-0.02, 4.0]]},
+        ],
+        "eta": 0.01,
+        "small_jump_mode": "gaussian",
+    },
+    "initial": {"kind": "uniform", "a": -0.1, "b": 0.1},
+    "target": {"kind": "exponential", "rate": 1.0},
+    "grid": {"t_start": 0.03125, "dt": 0.03125, "steps": 64},
+    "particles": 2000,
+    "seed": 29,
 }
 
 CONFIG_OU = {
@@ -109,6 +132,12 @@ class TestCalibrateCommand:
         assert rc == 0
         data = (out / "boundary.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == GOLDEN_B_SHA
+
+    def test_golden_bytes_config_levy_atoms(self, tmp_path):
+        rc, out = run_calibrate(tmp_path, CONFIG_LEVY_ATOMS)
+        assert rc == 0
+        data = (out / "boundary.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_LEVY_ATOMS_SHA
 
     def test_golden_bytes_config_ou(self, tmp_path):
         rc, out = run_calibrate(tmp_path, CONFIG_OU)
