@@ -19,12 +19,9 @@ from .processes import (
     GammaSubordinatorMeasure,
     IntervalDiffusion,
     Levy,
-    LevyMeasureSpec,
-    LevyTriple,
     OneSidedStable,
     Uniqueness,
     classify_levy,
-    small_jump_stats,
     step_increments,
 )
 from .targets import (

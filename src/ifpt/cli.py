@@ -242,7 +242,7 @@ def cmd_compare(config: RunConfig, seed: int, paths: dict) -> tuple[int, dict, l
 def cmd_classify(config: RunConfig, seed: None, paths: dict) -> tuple[int, dict, list[str]]:
     if not isinstance(config.process, Levy):
         raise ConfigError("process", "classify needs a levy process")
-    cls = classify_levy(config.process.triple)
+    cls = classify_levy(config.process)
     existence = (
         "yes (diffuse marginals)"
         if cls.existence_diffuse

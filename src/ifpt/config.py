@@ -40,8 +40,6 @@ from .processes import (
     GammaSubordinatorMeasure,
     IntervalDiffusion,
     Levy,
-    LevyMeasureSpec,
-    LevyTriple,
     Linear,
     OneSidedStable,
     Power,
@@ -218,10 +216,6 @@ def _one_of(tag: str, table: dict):
     return lambda spec, path, base_dir: _build(spec, path, tag, table, base_dir)
 
 
-def _levy(a: float, sigma2: float, measure: tuple, **options) -> Levy:
-    return Levy(LevyTriple(a, sigma2, LevyMeasureSpec(measure)), **options)
-
-
 # kind -> (constructor, {required key: parser}, {optional key: parser}); the
 # required keys are listed in the order of the constructor's arguments
 
@@ -247,7 +241,7 @@ _coefficient = _one_of("name", COEFFICIENTS)
 PROCESSES = {
     "brownian": (BrownianDrift, {"mu": _number, "vol": _number}, {}),
     "levy": (
-        _levy,
+        Levy,
         {"a": _number, "sigma2": _number, "measure": _list(_one_of("type", MEASURES), "list of measure components")},
         {"small_jump_mode": _string, "eta": _number},
     ),

@@ -276,7 +276,8 @@ class OneSidedStable:
         if lam == 0.0 and a == 1.0:
             mean = c * math.log(1.0 / eta)
         elif lam == 0.0:
-            mean = c * (1.0 - eta ** (1.0 - a)) / (1.0 - a)
+            # 1 - eta^(1 - a) through expm1, which does not cancel as eta nears 1
+            mean = -c * math.expm1((1.0 - a) * math.log(eta)) / (1.0 - a)
         elif eta >= 0.5 and lam * (1.0 - eta) <= 1.0:
             # the two upper gammas below would nearly cancel
             mean = c / lam * math.exp(-lam) * _near_one_integral(a, 1.0 - eta, lam * (1.0 - eta))
@@ -328,47 +329,6 @@ def GammaSubordinatorMeasure(side: str, shape: float, rate: float) -> OneSidedSt
     return OneSidedStable(side, 0.0, shape, rate)
 
 
-@dataclass(frozen=True)
-class LevyMeasureSpec:
-    components: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-
-    def tail_rate(self, eta):
-        return sum(c.tail_rate(eta) for c in self.components)
-
-    def mean_trunc(self, eta):
-        return sum(c.mean_trunc(eta) for c in self.components)
-
-    def small_var(self, eta):
-        return sum(c.small_var(eta) for c in self.components)
-
-
-@dataclass(frozen=True)
-class LevyTriple:
-    """Characteristic triple (a, sigma^2, Pi), signs exactly as in psi."""
-
-    a: float
-    sigma2: float
-    levy_measure: LevyMeasureSpec
-
-    def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
-
-
-def small_jump_stats(measure: LevyMeasureSpec, eta: float) -> tuple[float, float, float]:
-    """(rate of |x| >= eta, drift correction over eta <= |x| < 1, variance below eta)."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must be in (0, 1)")
-    return (
-        float(measure.tail_rate(eta)),
-        float(measure.mean_trunc(eta)),
-        float(measure.small_var(eta)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Classification
 
@@ -390,8 +350,8 @@ class LevyClassification:
     i_xi_description: str
 
 
-def classify_levy(triple: LevyTriple) -> LevyClassification:
-    """Existence and uniqueness regime of the triple, decided analytically.
+def classify_levy(model: Levy) -> LevyClassification:
+    """Existence and uniqueness regime of the model's triple, decided analytically.
 
     Marginals from a point start are diffuse iff sigma^2 > 0 or the measure
     has infinite total mass.  Uniqueness holds on the full interval
@@ -400,8 +360,8 @@ def classify_levy(triple: LevyTriple) -> LevyClassification:
     from below.  An accumulation is one component's: one whose support
     touches 0 on that side.
     """
-    comps = triple.levy_measure.components
-    sigma_pos = triple.sigma2 > 0
+    comps = model.measure
+    sigma_pos = model.sigma2 > 0
     existence = sigma_pos or any(c.infinite_mass for c in comps)
     unbounded = sigma_pos or any(c.unbounded_variation for c in comps)
     zero_supp = any(c.touches_zero for c in comps)
@@ -498,39 +458,52 @@ def _euler(z: np.ndarray, x: np.ndarray, beta, sigma, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Levy:
-    """A Lévy process stepped by the jump decomposition at eta; its step constants
-    drift, gauss_std, jump_rate and small_jump_variance are set once, when built."""
+    """A Lévy process with characteristic triple (a, sigma2, Pi), signs exactly as
+    in psi, where Pi is the sum of the components in ``measure``.  It is stepped
+    by the jump decomposition at eta; its step constants drift, gauss_std,
+    jump_rate and small_jump_variance are set once, when built."""
 
-    triple: LevyTriple
+    a: float
+    sigma2: float
+    measure: tuple
     small_jump_mode: str = "gaussian"
     eta: float = 1e-2
 
     def __post_init__(self):
+        object.__setattr__(self, "measure", tuple(self.measure))
+        if self.sigma2 < 0:
+            raise ValueError("sigma2 must be >= 0")
         if self.small_jump_mode not in ("gaussian", "discard"):
             raise ValueError("small_jump_mode must be 'gaussian' or 'discard'")
-        # an infinite jump rate overflows the Poisson table's search in the first step;
-        # small_jump_stats also checks eta
+        if not 0.0 < self.eta < 1.0:
+            raise ValueError("eta must be in (0, 1)")
+        # an infinite jump rate overflows the Poisson table's search in the first step
         try:
-            rate, mean, var = small_jump_stats(self.triple.levy_measure, self.eta)
+            rates = tuple(c.tail_rate(self.eta) for c in self.measure)
+            rate = float(sum(rates))
+            mean = float(sum(c.mean_trunc(self.eta) for c in self.measure))
+            var = float(sum(c.small_var(self.eta) for c in self.measure))
         except OverflowError:
             rate = mean = var = math.inf
         if not all(math.isfinite(v) for v in (rate, mean, var)):
             raise ValueError("the jump rate, drift and small-jump variance at eta must be finite")
-        gauss_var = self.triple.sigma2 + (var if self.small_jump_mode == "gaussian" else 0.0)
+        gauss_var = self.sigma2 + (var if self.small_jump_mode == "gaussian" else 0.0)
         # a' = a + mean of jumps in eta <= |x| < 1; realized as -a' per unit time
-        object.__setattr__(self, "drift", -(self.triple.a + mean))
+        object.__setattr__(self, "drift", -(self.a + mean))
         object.__setattr__(self, "gauss_std", math.sqrt(gauss_var))
         object.__setattr__(self, "jump_rate", rate)
         object.__setattr__(self, "small_jump_variance", var)
+        # each component's rate of |x| >= eta, the weights of the jump-size mixture
+        object.__setattr__(self, "_tail_rates", rates)
 
     state_bounds = (-math.inf, math.inf)
 
     @cached_property
     def _tail_ppf(self):
-        comps = [c for c in self.triple.levy_measure.components if c.tail_rate(self.eta) > 0]
-        rates = np.array([c.tail_rate(self.eta) for c in comps])
+        tails = [(c, r) for c, r in zip(self.measure, self._tail_rates) if r > 0]
+        rates = np.array([r for _, r in tails])
         frac = np.cumsum(rates) / rates.sum()
-        ppfs = [c.tail_ppf(self.eta) for c in comps]
+        ppfs = [c.tail_ppf(self.eta) for c, _ in tails]
 
         def ppf(u):
             u = np.asarray(u, dtype=float)

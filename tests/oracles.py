@@ -1,6 +1,6 @@
 """Reference computations that no command runs: the tests hold the solver to them.
 
-The characteristic exponent of a Lévy triple and the scale function of a
+The characteristic exponent of a Lévy model and the scale function of a
 diffusion, by adaptive quadrature (scipy.integrate), and the crossing
 probabilities of Brownian motion and a line, by brute-force paths through
 ``forward_fpt``.  The convention for psi is the one in ``ifpt.processes``:
@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from ifpt.boundary import BoundaryCurve, TimeGrid
 from ifpt.calibrate import PointInitial
-from ifpt.processes import BrownianDrift, FiniteAtoms, IntervalDiffusion, LevyMeasureSpec, LevyTriple
+from ifpt.processes import BrownianDrift, FiniteAtoms, IntervalDiffusion, Levy
 from ifpt.verify import forward_fpt
 
 QUAD_REL_TOL = 1e-8
@@ -35,14 +35,12 @@ def _quad(f, a, b) -> float:
     return val
 
 
-def char_integral(measure, theta: float) -> complex:
-    """The jump part of psi(theta) for a ``LevyMeasureSpec`` or one of its
-    components: a sum over ``FiniteAtoms``, quadrature over a ``OneSidedStable``."""
-    if isinstance(measure, LevyMeasureSpec):
-        return sum((char_integral(c, theta) for c in measure.components), 0j)
-    if isinstance(measure, FiniteAtoms):
+def char_integral(component, theta: float) -> complex:
+    """One measure component's part of psi(theta): a sum over ``FiniteAtoms``,
+    quadrature over a ``OneSidedStable``."""
+    if isinstance(component, FiniteAtoms):
         out = 0j
-        for x, r in measure.atoms:
+        for x, r in component.atoms:
             comp = 1.0 - np.exp(1j * theta * x)
             if abs(x) < 1.0:
                 comp += 1j * theta * x
@@ -50,7 +48,7 @@ def char_integral(measure, theta: float) -> complex:
         return complex(out)
     # computed on jump magnitudes; mirroring the support flips the
     # imaginary part only (the real part is even in x)
-    c, a, lam = measure.intensity, measure.alpha, measure.tempering
+    c, a, lam = component.intensity, component.alpha, component.tempering
 
     def dens(m):
         return c * m ** (-1.0 - a) * math.exp(-lam * m)
@@ -59,13 +57,13 @@ def char_integral(measure, theta: float) -> complex:
     re += _quad(lambda m: (1.0 - math.cos(theta * m)) * dens(m), 1.0, np.inf)
     im = _quad(lambda m: (theta * m - math.sin(theta * m)) * dens(m), 0.0, 1.0)
     im += _quad(lambda m: -math.sin(theta * m) * dens(m), 1.0, np.inf)
-    return complex(re, measure.sign * im)
+    return complex(re, component.sign * im)
 
 
-def levy_char_exponent(triple: LevyTriple, theta: float) -> complex:
-    """psi(theta) with the drift sign as printed; psi(0) = 0."""
-    psi = 1j * theta * triple.a + 0.5 * triple.sigma2 * theta**2
-    psi += char_integral(triple.levy_measure, theta)
+def levy_char_exponent(model: Levy, theta: float) -> complex:
+    """psi(theta) of the model's triple, with the drift sign as printed; psi(0) = 0."""
+    psi = 1j * theta * model.a + 0.5 * model.sigma2 * theta**2
+    psi += sum((char_integral(c, theta) for c in model.measure), 0j)
     return complex(psi)
 
 

@@ -30,8 +30,6 @@ from ifpt.processes import (
     GammaSubordinatorMeasure,
     IntervalDiffusion,
     Levy,
-    LevyMeasureSpec,
-    LevyTriple,
     OneSidedStable,
     OU,
     Uniqueness,
@@ -215,16 +213,8 @@ def test_criterion_06_truncation_order_preservation():
 
 def test_criterion_07_levy_simulator_fidelity():
     models = {
-        "tempered stable": Levy(
-            LevyTriple(0.0, 0.25, LevyMeasureSpec((OneSidedStable("+", 0.5, 0.5, 1.0),))),
-            "gaussian",
-            0.01,
-        ),
-        "two atoms": Levy(
-            LevyTriple(0.0, 0.25, LevyMeasureSpec((FiniteAtoms(((1.0, 2.0), (-0.5, 1.0))),))),
-            "gaussian",
-            0.01,
-        ),
+        "tempered stable": Levy(0.0, 0.25, (OneSidedStable("+", 0.5, 0.5, 1.0),), "gaussian", 0.01),
+        "two atoms": Levy(0.0, 0.25, (FiniteAtoms(((1.0, 2.0), (-0.5, 1.0))),), "gaussian", 0.01),
     }
     n = 1_000_000
     worst = 0.0
@@ -233,7 +223,7 @@ def test_criterion_07_levy_simulator_fidelity():
         x = step_increments(model, np.zeros(n), 1.0, keys)
         for theta in (-2.0, -1.0, 1.0, 2.0):
             emp = complex(np.exp(1j * theta * x).mean())
-            exact = np.exp(-levy_char_exponent(model.triple, theta))
+            exact = np.exp(-levy_char_exponent(model, theta))
             worst = max(worst, abs(emp - exact))
     report_line(7, worst <= 0.01, f"max |emp char fn - exp(-psi)| = {worst:.5f} (tol 0.01)")
 
@@ -282,11 +272,7 @@ def test_criterion_10_monotone_boundary_subordinator_regime():
     # (-X) a driftless Gamma subordinator; discard mode keeps paths monotone
     shape, rate = 1.0, 1.0
     a0 = shape * (1.0 - math.exp(-rate)) / rate
-    model = Levy(
-        LevyTriple(a0, 0.0, LevyMeasureSpec((GammaSubordinatorMeasure("-", shape, rate),))),
-        "discard",
-        0.01,
-    )
+    model = Levy(a0, 0.0, (GammaSubordinatorMeasure("-", shape, rate),), "discard", 0.01)
     grid = TimeGrid(1 / 128, 1 / 128, 256)
     values = []
     for seed in (11, 12, 13, 14):
@@ -343,13 +329,11 @@ def test_criterion_11_diffusion_stepper_fidelity():
 
 
 def test_criterion_12_classifier_truth_table():
-    brownian = classify_levy(LevyTriple(0.0, 1.0, LevyMeasureSpec(())))
-    neg_gamma = classify_levy(
-        LevyTriple(0.0, 0.0, LevyMeasureSpec((GammaSubordinatorMeasure("-", 1.0, 1.0),)))
-    )
-    poisson = classify_levy(LevyTriple(0.0, 0.0, LevyMeasureSpec((FiniteAtoms(((1.0, 1.0),)),))))
-    lo = classify_levy(LevyTriple(0.0, 0.0, LevyMeasureSpec((OneSidedStable("+", 0.5, 1.0),))))
-    hi = classify_levy(LevyTriple(0.0, 0.0, LevyMeasureSpec((OneSidedStable("+", 1.5, 1.0),))))
+    brownian = classify_levy(Levy(0.0, 1.0, ()))
+    neg_gamma = classify_levy(Levy(0.0, 0.0, (GammaSubordinatorMeasure("-", 1.0, 1.0),)))
+    poisson = classify_levy(Levy(0.0, 0.0, (FiniteAtoms(((1.0, 1.0),)),)))
+    lo = classify_levy(Levy(0.0, 0.0, (OneSidedStable("+", 0.5, 1.0),)))
+    hi = classify_levy(Levy(0.0, 0.0, (OneSidedStable("+", 1.5, 1.0),)))
     ok = (
         brownian.existence_diffuse
         and brownian.unbounded_variation

@@ -23,8 +23,6 @@ from ifpt.processes import (
     FiniteAtoms,
     IntervalDiffusion,
     Levy,
-    LevyMeasureSpec,
-    LevyTriple,
     OneSidedStable,
     StateSpaceError,
 )
@@ -37,7 +35,7 @@ INF = math.inf
 # position, so common random numbers preserve the order of two ensembles
 ADDITIVE_MODELS = [
     BrownianDrift(0.3, 1.0),
-    Levy(LevyTriple(0.2, 0.5, LevyMeasureSpec((OneSidedStable("+", 0.7, 0.5, 1.0),))), "gaussian", 0.05),
+    Levy(0.2, 0.5, (OneSidedStable("+", 0.7, 0.5, 1.0),), "gaussian", 0.05),
 ]
 
 
@@ -219,9 +217,7 @@ class TestCalibrate:
 
     def test_atomic_jump_tie_shortfall_reported(self):
         # constant-jump Poisson from a point start produces heavy ties
-        model = Levy(
-            LevyTriple(0.0, 0.0, LevyMeasureSpec((FiniteAtoms(((1.0, 2.0),)),))), "discard", 0.5
-        )
+        model = Levy(0.0, 0.0, (FiniteAtoms(((1.0, 2.0),)),), "discard", 0.5)
         n = 2000
         est = calibrate(
             model,
@@ -384,11 +380,7 @@ class TestRefineAndDiagnose:
 
 class TestDiagnostics:
     def test_levy_small_jump_budget_reported(self):
-        model = Levy(
-            LevyTriple(0.0, 0.0, LevyMeasureSpec((FiniteAtoms(((0.5, 1.0), (0.005, 3.0))),))),
-            "discard",
-            0.01,
-        )
+        model = Levy(0.0, 0.0, (FiniteAtoms(((0.5, 1.0), (0.005, 3.0))),), "discard", 0.01)
         est = calibrate(
             model,
             PointInitial(0.0),

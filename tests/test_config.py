@@ -107,7 +107,7 @@ def test_levy_measure_components():
     )
     model = cfg.process
     assert isinstance(model, Levy)
-    comps = model.triple.levy_measure.components
+    comps = model.measure
     assert isinstance(comps[1], OneSidedStable) and comps[1].tempering == 0.0
     assert isinstance(comps[2], OneSidedStable) and comps[2].alpha == 0.0
     assert model.eta == 1e-2 and model.small_jump_mode == "gaussian"
@@ -246,7 +246,7 @@ PLACES = {
         MEASURES,
         "process.measure[0]",
         lambda spec: {"process": {"kind": "levy", "a": 0.0, "sigma2": 0.0, "measure": [spec]}},
-        lambda cfg: cfg.process.triple.levy_measure.components[0],
+        lambda cfg: cfg.process.measure[0],
     ),
     "coefficient": (
         COEFFICIENTS,

@@ -19,8 +19,6 @@ from ifpt.processes import (
     Constant,
     IntervalDiffusion,
     Levy,
-    LevyMeasureSpec,
-    LevyTriple,
     OneSidedStable,
     OU,
 )
@@ -28,7 +26,7 @@ from ifpt.rng import StreamKeys
 from ifpt.verify import forward_fpt
 
 # BENCH3's process: a Gaussian part and about 3 % of the particles jumping per step
-BENCH3 = Levy(LevyTriple(0.0, 0.25, LevyMeasureSpec((OneSidedStable("+", 0.5, 0.5, 1.0),))), "gaussian", 0.01)
+BENCH3 = Levy(0.0, 0.25, (OneSidedStable("+", 0.5, 0.5, 1.0),), "gaussian", 0.01)
 
 
 def keys_for(n, seed=1, step=0):
@@ -90,7 +88,7 @@ def test_levy_step_is_the_former_sum_bit_for_bit():
     # over more than one of the RNG's chunks
     n = 70_000
     x = np.linspace(-2.0, 2.0, n)
-    no_jumps = Levy(LevyTriple(0.3, 0.25, LevyMeasureSpec(())), "gaussian", 0.01)
+    no_jumps = Levy(0.3, 0.25, (), "gaussian", 0.01)
     keys = keys_for(n, seed=5, step=2)
     z = keys.normals(slot=0)
     z *= no_jumps.gauss_std * math.sqrt(1 / 256)

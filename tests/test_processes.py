@@ -15,8 +15,6 @@ from ifpt.processes import (
     GammaSubordinatorMeasure,
     IntervalDiffusion,
     Levy,
-    LevyMeasureSpec,
-    LevyTriple,
     Linear,
     OneSidedStable,
     OU,
@@ -25,7 +23,6 @@ from ifpt.processes import (
     Uniqueness,
     classify_levy,
     Diagnostics,
-    small_jump_stats,
     step_increments,
     upper_incomplete_gamma,
     _exp1,
@@ -37,10 +34,6 @@ from oracles import levy_char_exponent, scale_transform
 
 def keys_for(n, seed=0, step=0, ids=None):
     return StreamKeys(seed=seed, step_index=step, ids=np.arange(n) if ids is None else ids, n_total=n)
-
-
-def measure(*comps):
-    return LevyMeasureSpec(tuple(comps))
 
 
 class TestBrownianStep:
@@ -60,7 +53,7 @@ class TestBrownianStep:
 class TestLevyStep:
     def test_pure_poisson_atom(self):
         n = 10**6
-        model = Levy(LevyTriple(0.0, 0.0, measure(FiniteAtoms(((1.0, 3.0),)))), "discard", 0.5)
+        model = Levy(0.0, 0.0, (FiniteAtoms(((1.0, 3.0),)),), "discard", 0.5)
         x = step_increments(model, np.zeros(n), 1.0, keys_for(n, seed=3))
         p0 = float((x == 0.0).mean())
         assert abs(p0 - math.exp(-3.0)) < 0.002
@@ -69,7 +62,7 @@ class TestLevyStep:
     def test_drift_sign_convention(self):
         # psi carries +i theta a, so positive a drifts the path down
         n = 10_000
-        model = Levy(LevyTriple(2.0, 0.0, measure()), "discard", 0.5)
+        model = Levy(2.0, 0.0, (), "discard", 0.5)
         x = step_increments(model, np.zeros(n), 1.0, keys_for(n, seed=4))
         assert np.allclose(x, -2.0)
 
@@ -79,9 +72,7 @@ class TestLevyStep:
         rng = np.random.default_rng(5)
         p1 = rng.normal(size=n)
         p2 = p1 + rng.exponential(1.0, size=n)
-        model = Levy(
-            LevyTriple(0.1, 0.3, measure(OneSidedStable("+", 0.5, 0.5, 1.0))), "gaussian", 0.01
-        )
+        model = Levy(0.1, 0.3, (OneSidedStable("+", 0.5, 0.5, 1.0),), "gaussian", 0.01)
         k = keys_for(n, seed=6)
         o1 = step_increments(model, p1, 0.5, k)
         o2 = step_increments(model, p2, 0.5, k)
@@ -93,9 +84,7 @@ class TestLevyStep:
     def test_per_particle_purity(self):
         # a particle's increment does not depend on which others advance
         n = 1000
-        model = Levy(
-            LevyTriple(0.0, 0.25, measure(OneSidedStable("+", 0.5, 0.5, 1.0))), "gaussian", 0.01
-        )
+        model = Levy(0.0, 0.25, (OneSidedStable("+", 0.5, 0.5, 1.0),), "gaussian", 0.01)
         full = step_increments(model, np.zeros(n), 0.5, keys_for(n, seed=9, step=3))
         sub = np.array([5, 17, 400, 999])
         part = step_increments(model, np.zeros(4), 0.5, keys_for(n, seed=9, step=3, ids=sub))
@@ -105,11 +94,7 @@ class TestLevyStep:
     @given(seed=st.integers(0, 2**64 - 1), step=st.integers(0, 4096), mask=st.lists(st.booleans(), min_size=1, max_size=400))
     def test_subset_step_equals_full_step_restricted(self, seed, step, mask):
         # jump rate about 10 and dt 0.5: many particles take several jumps
-        model = Levy(
-            LevyTriple(0.0, 0.25, measure(OneSidedStable("+", 0.5, 0.5, 1.0), FiniteAtoms(((1.0, 2.0),)))),
-            "gaussian",
-            0.01,
-        )
+        model = Levy(0.0, 0.25, (OneSidedStable("+", 0.5, 0.5, 1.0), FiniteAtoms(((1.0, 2.0),))), "gaussian", 0.01)
         n = len(mask)
         sub = np.flatnonzero(mask)
         x0 = np.linspace(-1.0, 1.0, n)
@@ -119,16 +104,15 @@ class TestLevyStep:
 
     def test_gaussian_surrogate_variance(self):
         # surrogate matches the truncated second moment exactly
-        spec = measure(OneSidedStable("+", 0.5, 0.5, 1.0))
+        spec = (OneSidedStable("+", 0.5, 0.5, 1.0),)
         eta = 0.01
-        _, _, var_small = small_jump_stats(spec, eta)
-        m = Levy(LevyTriple(0.0, 0.0, spec), "gaussian", eta)
-        assert m.gauss_std**2 == pytest.approx(var_small, rel=1e-12)
-        m2 = Levy(LevyTriple(0.0, 0.0, spec), "discard", eta)
+        m = Levy(0.0, 0.0, spec, "gaussian", eta)
+        assert m.gauss_std**2 == pytest.approx(spec[0].small_var(eta), rel=1e-12)
+        m2 = Levy(0.0, 0.0, spec, "discard", eta)
         assert m2.gauss_std == 0.0
 
     def test_rejects_nonfinite_positions(self):
-        model = Levy(LevyTriple(0.0, 1.0, measure()), "gaussian", 0.1)
+        model = Levy(0.0, 1.0, (), "gaussian", 0.1)
         with pytest.raises(StateSpaceError):
             step_increments(model, np.array([0.0, math.inf]), 0.1, keys_for(2))
 
@@ -138,7 +122,7 @@ class TestLevyStep:
 def test_steps_with_narrow_ids_are_the_int64_steps(n):
     # BENCH3's Lévy step (normals, Poisson uniforms, jump rows) and
     # diffusion-ou's OU step (a normal block over four substeps)
-    levy = Levy(LevyTriple(0.0, 0.25, measure(OneSidedStable("+", 0.5, 0.5, 1.0))), "gaussian", 0.01)
+    levy = Levy(0.0, 0.25, (OneSidedStable("+", 0.5, 0.5, 1.0),), "gaussian", 0.01)
     ou = IntervalDiffusion(OU(1.0), Constant(1.0), L=0.0, lower_boundary_behavior="reflecting", dt_substeps=4)
     narrow = keys_for(n, seed=20261022, step=5, ids=np.arange(n, dtype=np.min_scalar_type(n - 1)))
     wide = keys_for(n, seed=20261022, step=5)
@@ -321,32 +305,32 @@ class TestDiffusionStep:
 
 class TestCharExponent:
     def test_pure_gaussian(self):
-        t = LevyTriple(0.0, 1.0, measure())
+        t = Levy(0.0, 1.0, ())
         for th in (-2.0, 0.5, 2.0):
             assert levy_char_exponent(t, th) == pytest.approx(th**2 / 2)
 
     def test_single_large_atom(self):
-        t = LevyTriple(0.0, 0.0, measure(FiniteAtoms(((2.0, 1.0),))))
+        t = Levy(0.0, 0.0, (FiniteAtoms(((2.0, 1.0),)),))
         th = 0.7
         assert levy_char_exponent(t, th) == pytest.approx(1.0 - np.exp(2j * th))
 
     def test_zero_theta(self):
         specs = [
-            LevyTriple(1.0, 2.0, measure(FiniteAtoms(((0.5, 1.0),)))),
-            LevyTriple(0.0, 0.0, measure(OneSidedStable("+", 0.5, 0.5, 1.0))),
+            Levy(1.0, 2.0, (FiniteAtoms(((0.5, 1.0),)),)),
+            Levy(0.0, 0.0, (OneSidedStable("+", 0.5, 0.5, 1.0),)),
         ]
         for t in specs:
             assert levy_char_exponent(t, 0.0) == 0
 
     def test_small_atom_keeps_compensator(self):
-        t = LevyTriple(0.0, 0.0, measure(FiniteAtoms(((0.5, 2.0),))))
+        t = Levy(0.0, 0.0, (FiniteAtoms(((0.5, 2.0),)),))
         th = 1.3
         want = 2.0 * (1.0 - np.exp(0.5j * th) + 0.5j * th)
         assert levy_char_exponent(t, th) == pytest.approx(want)
 
     def test_density_component_against_quadrature(self):
         comp = OneSidedStable("-", 0.7, 0.4, 2.0)
-        t = LevyTriple(0.0, 0.0, measure(comp))
+        t = Levy(0.0, 0.0, (comp,))
         th = 1.5
         dens = lambda m: 0.4 * m**-1.7 * math.exp(-2.0 * m)
         re = quad(lambda m: (1 - math.cos(th * m)) * dens(m), 0, np.inf, limit=300)[0]
@@ -360,29 +344,65 @@ class TestCharExponent:
         # psi = -c Gamma(-alpha) ((lam - i theta)^alpha - lam^alpha), plus the
         # compensator i theta c int_0^1 x^-alpha e^(-lam x) dx
         alpha, c, lam, th = 0.5, 0.5, 1.0, 0.7
-        t = LevyTriple(0.0, 0.0, measure(OneSidedStable("+", alpha, c, lam)))
+        t = Levy(0.0, 0.0, (OneSidedStable("+", alpha, c, lam),))
         want = -c * gamma(-alpha) * ((lam - 1j * th) ** alpha - lam**alpha)
         want += 1j * th * c * lam ** (alpha - 1) * gamma(1 - alpha) * gammainc(1 - alpha, lam)
         assert abs(levy_char_exponent(t, th) - want) <= 1e-9 * abs(want)
 
 
+def step_constants(model):
+    return model.jump_rate, model.drift, model.small_jump_variance
+
+
+# one component of each kind: atoms, tempered stable and Gamma
+_atoms = st.builds(
+    FiniteAtoms,
+    st.lists(
+        st.tuples(
+            st.floats(1e-4, 5.0) | st.floats(-5.0, -1e-4),
+            st.floats(1e-3, 10.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+_stable = st.builds(
+    OneSidedStable, st.sampled_from("+-"), st.floats(0.05, 1.95), st.floats(1e-2, 5.0), st.floats(0.1, 5.0)
+)
+_gamma = st.builds(GammaSubordinatorMeasure, st.sampled_from("+-"), st.floats(0.1, 5.0), st.floats(0.1, 5.0))
+
+
 class TestSmallJumpStats:
+    """The model's jump rate, drift and small-jump variance at eta."""
+
     def test_atom_above_eta(self):
-        got = small_jump_stats(measure(FiniteAtoms(((0.5, 2.0),))), 0.25)
-        assert got == (2.0, 1.0, 0.0)
+        # rate 2 above eta, and a' = 0.5 * 2 realized as drift -1
+        model = Levy(0.0, 0.0, (FiniteAtoms(((0.5, 2.0),)),), eta=0.25)
+        assert step_constants(model) == (2.0, -1.0, 0.0)
 
     def test_atom_below_eta(self):
-        got = small_jump_stats(measure(FiniteAtoms(((0.1, 10.0),))), 0.25)
-        assert got == (0.0, 0.0, pytest.approx(0.1))
+        model = Levy(0.0, 0.0, (FiniteAtoms(((0.1, 10.0),)),), eta=0.25)
+        assert step_constants(model) == (0.0, 0.0, pytest.approx(0.1))
+
+    @settings(max_examples=60)
+    @given(
+        a=st.floats(-2.0, 2.0),
+        comps=st.lists(st.one_of(_atoms, _stable, _gamma), max_size=4),
+        eta=st.floats(1e-3, 0.99),
+    )
+    def test_constants_are_the_in_order_sums_of_the_components(self, a, comps, eta):
+        # the built-in sum over the components in order, bit for bit
+        model = Levy(a, 0.5, comps, eta=eta)
+        assert model.jump_rate == float(sum(c.tail_rate(eta) for c in comps))
+        assert model.drift == -(a + float(sum(c.mean_trunc(eta) for c in comps)))
+        assert model.small_jump_variance == float(sum(c.small_var(eta) for c in comps))
 
     def test_partition_identity_across_eta(self):
         # the second moment below 1 does not depend on where eta cuts
-        spec = measure(
-            OneSidedStable("+", 0.5, 0.5, 1.0), FiniteAtoms(((-0.3, 2.0), (0.7, 1.0)))
-        )
+        spec = (OneSidedStable("+", 0.5, 0.5, 1.0), FiniteAtoms(((-0.3, 2.0), (0.7, 1.0))))
 
         def second_moment_below_one(eta):
-            _, _, v = small_jump_stats(spec, eta)
+            v = Levy(0.0, 0.0, spec, eta=eta).small_jump_variance
             mid = quad(lambda m: m**2 * 0.5 * m**-1.5 * math.exp(-m), eta, 1.0)[0]
             mid += sum(x * x * r for x, r in ((-0.3, 2.0), (0.7, 1.0)) if eta <= abs(x) < 1)
             return v + mid
@@ -416,16 +436,18 @@ class TestSmallJumpStats:
 
     def test_doob_budget_shape(self):
         # discard-mode bias budget dt * var_below_eta / C^2 is finite and small
-        spec = measure(OneSidedStable("+", 0.5, 0.5, 1.0))
-        _, _, v = small_jump_stats(spec, 0.01)
+        v = Levy(0.0, 0.0, (OneSidedStable("+", 0.5, 0.5, 1.0),), eta=0.01).small_jump_variance
         dt, c = 1 / 256, 0.1
         assert 0 < dt * v / c**2 < 1
 
-    def test_eta_bounds(self):
-        with pytest.raises(ValueError):
-            small_jump_stats(measure(), 0.0)
-        with pytest.raises(ValueError):
-            small_jump_stats(measure(), 1.0)
+    @pytest.mark.parametrize("eta", [0.0, 1.0, math.nan])
+    def test_eta_bounds(self, eta):
+        with pytest.raises(ValueError, match=r"eta must be in \(0, 1\)"):
+            Levy(0.0, 0.0, (), eta=eta)
+
+    def test_sigma2_is_not_negative(self):
+        with pytest.raises(ValueError, match="sigma2 must be >= 0"):
+            Levy(0.0, -0.25, ())
 
 
 class TestTailSampler:
@@ -458,7 +480,7 @@ class TestTailSampler:
         comp = FiniteAtoms(tuple(zip(np.arange(1.0, 285.0), rates)))
         u = np.array([1.0 - 2.0**-53])
         assert comp.tail_ppf(0.5)(u).tolist() == [284.0]
-        assert Levy(LevyTriple(0.0, 0.0, measure(comp)))._tail_ppf(u).tolist() == [284.0]
+        assert Levy(0.0, 0.0, (comp,))._tail_ppf(u).tolist() == [284.0]
 
 
 class TestGammaMeasure:
@@ -521,6 +543,16 @@ class TestNearOneAgainstMpmath:
             want = comp.sign * c * mpmath.quad(lambda x: x ** (-a) * mpmath.exp(-lam * x), [eta, 1])
         assert comp.mean_trunc(eta) == pytest.approx(float(want), rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.2, 1.5, 1.9])
+    def test_untempered_mean_trunc(self, alpha):
+        # c (1 - eta^(1 - a)) / (1 - a) was 8.6e-14 off at a = 0.5, eta = 0.999
+        # and 1.8e-12 at a = 1.5, eta = 0.9999
+        comp = OneSidedStable("+", alpha, 0.7)
+        for eta in (1e-8, 1e-4, 0.01, 0.5, 0.9, 0.999, 0.9999):
+            with mpmath.workdps(40):
+                want = 0.7 * mpmath.quad(lambda x: x ** (-alpha), [eta, 1])
+            assert comp.mean_trunc(eta) == pytest.approx(float(want), rel=2e-15, abs=0), eta
+
 
 class TestGammaFunctionsAgainstScipy:
     """The in-house incomplete gamma functions, held to scipy.special."""
@@ -555,12 +587,12 @@ class TestGammaFunctionsAgainstScipy:
 
 class TestClassify:
     def test_brownian(self):
-        c = classify_levy(LevyTriple(0.0, 1.0, measure()))
+        c = classify_levy(Levy(0.0, 1.0, ()))
         assert c.existence_diffuse and c.unbounded_variation
         assert c.uniqueness is Uniqueness.FULL_INTERVAL
 
     def test_negative_gamma_subordinator(self):
-        c = classify_levy(LevyTriple(0.0, 0.0, measure(GammaSubordinatorMeasure("-", 1.0, 1.0))))
+        c = classify_levy(Levy(0.0, 0.0, (GammaSubordinatorMeasure("-", 1.0, 1.0),)))
         assert c.existence_diffuse
         assert not c.unbounded_variation
         assert c.zero_in_supp and c.neg_mass and not c.pos_mass
@@ -568,16 +600,16 @@ class TestClassify:
         assert "supp" in c.i_xi_description
 
     def test_constant_jump_poisson(self):
-        c = classify_levy(LevyTriple(0.0, 0.0, measure(FiniteAtoms(((1.0, 1.0),)))))
+        c = classify_levy(Levy(0.0, 0.0, (FiniteAtoms(((1.0, 1.0),)),)))
         assert not c.existence_diffuse
         assert c.uniqueness is Uniqueness.UNKNOWN
 
     def test_stable_variation_split(self):
-        lo = classify_levy(LevyTriple(0.0, 0.0, measure(OneSidedStable("+", 0.5, 1.0))))
-        hi = classify_levy(LevyTriple(0.0, 0.0, measure(OneSidedStable("+", 1.5, 1.0))))
+        lo = classify_levy(Levy(0.0, 0.0, (OneSidedStable("+", 0.5, 1.0),)))
+        hi = classify_levy(Levy(0.0, 0.0, (OneSidedStable("+", 1.5, 1.0),)))
         # tempering changes neither side of the split (BENCH3's jump measure)
-        tempered_lo = classify_levy(LevyTriple(0.0, 0.0, measure(OneSidedStable("+", 0.5, 0.5, 1.0))))
-        tempered_hi = classify_levy(LevyTriple(0.0, 0.0, measure(OneSidedStable("+", 1.5, 0.5, 1.0))))
+        tempered_lo = classify_levy(Levy(0.0, 0.0, (OneSidedStable("+", 0.5, 0.5, 1.0),)))
+        tempered_hi = classify_levy(Levy(0.0, 0.0, (OneSidedStable("+", 1.5, 0.5, 1.0),)))
         assert not lo.unbounded_variation and not tempered_lo.unbounded_variation
         assert hi.unbounded_variation and tempered_hi.unbounded_variation
         for c in (lo, tempered_lo):
@@ -588,25 +620,25 @@ class TestClassify:
         # the Gamma measure accumulates at 0 from below; the atom at 1 adds
         # positive mass but no accumulation at 0
         c = classify_levy(
-            LevyTriple(0.0, 0.0, measure(GammaSubordinatorMeasure("-", 1.0, 1.0), FiniteAtoms(((1.0, 1.0),))))
+            Levy(0.0, 0.0, (GammaSubordinatorMeasure("-", 1.0, 1.0), FiniteAtoms(((1.0, 1.0),))))
         )
         assert c.zero_in_supp and c.pos_mass and c.neg_mass
         assert c.uniqueness is Uniqueness.SUPPORT_ONLY
 
     def test_invariant_biconditionals(self):
-        triples = [
-            LevyTriple(0.0, 1.0, measure()),
-            LevyTriple(0.0, 0.0, measure(GammaSubordinatorMeasure("-", 1.0, 1.0))),
-            LevyTriple(0.0, 0.0, measure(FiniteAtoms(((1.0, 1.0),)))),
-            LevyTriple(0.0, 0.0, measure(OneSidedStable("-", 0.5, 1.0))),
-            LevyTriple(0.0, 0.0, measure(OneSidedStable("+", 1.7, 1.0))),
+        models = [
+            Levy(0.0, 1.0, ()),
+            Levy(0.0, 0.0, (GammaSubordinatorMeasure("-", 1.0, 1.0),)),
+            Levy(0.0, 0.0, (FiniteAtoms(((1.0, 1.0),)),)),
+            Levy(0.0, 0.0, (OneSidedStable("-", 0.5, 1.0),)),
+            Levy(0.0, 0.0, (OneSidedStable("+", 1.7, 1.0),)),
             # pooled, this has 0 in the support and positive mass, but no
             # component accumulates positive jumps at 0
-            LevyTriple(0.0, 0.0, measure(GammaSubordinatorMeasure("-", 1.0, 1.0), FiniteAtoms(((1.0, 1.0),)))),
+            Levy(0.0, 0.0, (GammaSubordinatorMeasure("-", 1.0, 1.0), FiniteAtoms(((1.0, 1.0),)))),
         ]
-        for t in triples:
-            c = classify_levy(t)
-            comps = t.levy_measure.components
+        for model in models:
+            c = classify_levy(model)
+            comps = model.measure
             full = c.unbounded_variation or any(m.touches_zero and m.has_pos for m in comps)
             support = (not full) and any(m.touches_zero and m.has_neg for m in comps)
             assert (c.uniqueness is Uniqueness.FULL_INTERVAL) == full
